@@ -31,12 +31,6 @@ def psd_clip(M: np.ndarray) -> np.ndarray:
     return (V * np.clip(w, 0, None)) @ V.conj().T
 
 
-def psd_clip_stack(G: np.ndarray) -> np.ndarray:
-    """Stackwise PSD projection for an (L, n, n) Hermitian stack."""
-    w, V = np.linalg.eigh(hermitize_stack(G))
-    return (V * np.clip(w, 0, None)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
-
-
 def hermitian_sqrt(M: np.ndarray, tol: float = DEFAULT_TOL):
     """Hermitian square root and pseudo-inverse square root of a PSD matrix."""
     w, V = np.linalg.eigh(hermitize(M))

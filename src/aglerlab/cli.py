@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--feas-tol", type=float, default=None,
                         help="decomposition residual tolerance (default 1e-8)")
     common.add_argument("--max-iter", type=int, default=None,
-                        help="iteration cap for the feasibility solver")
+                        help="Newton-step cap for the interior-point solver")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in reports; used by randomized verifiers")
     common.add_argument("--quiet", action="store_true", help="suppress progress notes")
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("decompose", "Agler decomposition feasibility at fixed c"),
         ("realize", "decompose, synthesize a colligation, round-trip check"),
         ("eval", "evaluate a colligation's transfer function at points"),
-        ("norm", "bisection bracket for the decomposition norm"),
+        ("norm", "certified bracket for the decomposition norm"),
         ("brehmer", "hereditary positivity report for a tuple"),
         ("vn", "evaluate a classical colligation at a commuting tuple"),
         ("pick", "tangential interpolation: feasibility and synthesis"),
@@ -111,7 +111,7 @@ def _emit(args, body: dict) -> None:
         print(dumps(doc))
 
 
-def _revalidate_result(doc: dict, body: dict, result, phi, preordering, c, params) -> None:
+def _revalidate_result(result, phi, preordering, c, params) -> None:
     """Re-run the soundness checks before anything is written."""
     from .realize import validate_certificate, validate_witness
     if result.certificate is not None:
@@ -204,7 +204,7 @@ def cmd_decompose(doc, args) -> int:
     c = float(doc.get("c", 1.0))
     params = _solver_params(doc, args)
     result = agler_decompose(phi, pre, c, params)
-    _revalidate_result(doc, {}, result, phi, pre, c, params)
+    _revalidate_result(result, phi, pre, c, params)
     body = {"command": "decompose", "c": c, "solver": _solver_echo(params)}
     body.update(result_to_json(result))
     _emit(args, body)
@@ -221,7 +221,7 @@ def cmd_realize(doc, args) -> int:
     c = float(doc.get("c", 1.0))
     params = _solver_params(doc, args)
     result = agler_decompose(phi, pre, c, params)
-    _revalidate_result(doc, {}, result, phi, pre, c, params)
+    _revalidate_result(result, phi, pre, c, params)
     body = {"command": "realize", "c": c, "solver": _solver_echo(params)}
     body.update(result_to_json(result))
     if result.feasible:
@@ -276,7 +276,7 @@ def cmd_norm(doc, args) -> int:
     exit_code = EXIT_OK if result.resolved else EXIT_UNRESOLVED
     if "c" in doc:
         at_c = agler_decompose(phi, pre, float(doc["c"]), params)
-        _revalidate_result(doc, body, at_c, phi, pre, float(doc["c"]), params)
+        _revalidate_result(at_c, phi, pre, float(doc["c"]), params)
         body["at_c"] = result_to_json(at_c)
         body["at_c"]["c"] = float(doc["c"])
         exit_code = _status_exit(at_c.status)

@@ -33,11 +33,11 @@ class PointSample:
         mod = np.abs(pts)
         if mod.max() >= 1.0:
             raise ValueError(f"test-function values must have modulus < 1, got {mod.max()}")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.abs(pts[i] - pts[j]).max() < DUPLICATE_TOL:
-                    raise ValueError(f"duplicate points at indices {i}, {j}: "
-                                     "test functions separate points")
+        gap = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+        dup_i, dup_j = np.nonzero(np.triu(gap < DUPLICATE_TOL, 1))
+        if dup_i.size:  # row-major order: the first pair the nested loop over i < j meets
+            raise ValueError(f"duplicate points at indices {dup_i[0]}, {dup_j[0]}: "
+                             "test functions separate points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "margin", float(1.0 - mod.max()))
 

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, hermitize, min_eig, polar_isometry, psd_clip
+from ._linalg import DEFAULT_TOL, min_eig, polar_isometry
 from .auxfun import AuxFunctionSample, monomial_rows_at
-from .kernels import (HermitianKernel, PointSample, is_admissible, kolmogorov,
-                      psd_check, szego_factor)
+from .kernels import PointSample, kolmogorov
 from .preorder import MultiIndex, Preordering, classify, weight
-from .realize import (AglerCertificate, Colligation, DecomposeResult, FunctionSample,
-                      SolverParams, Witness, _solve_iterative, eval_transfer, pairing)
+from .realize import (AglerCertificate, Colligation, DecomposeResult, SolverParams,
+                      _ample_shortcut, _solve_target, eval_transfer)
 
 
 @dataclass(frozen=True)
@@ -64,42 +63,16 @@ def pick_feasible(problem: PickProblem,
     """Certificate or verified witness for (a a^* - b b^*) positivity.
 
     Ample preorderings reduce to a single eigenvalue test against the
-    Szego kernel; otherwise the general decomposition solver runs with the
-    Pick target in place of c^2 - phi phi^*.
+    Szego kernel; otherwise the interior-point solver decides the Pick
+    target in place of c^2 - phi phi^*.
     """
     params = params or SolverParams()
     cls = classify(problem.preordering)
     if cls.is_ample and not params.force_iterative:
-        return _ample_pick(problem, cls.lambda_max, params)
-    phi_like = FunctionSample(problem.nodes,
-                              np.zeros((problem.nodes.n_points, problem.m, problem.m)))
-    return _solve_iterative(phi_like, problem.preordering, 1.0, params,
-                            R_blocks=problem.target_blocks())
-
-
-def _ample_pick(problem: PickProblem, lam_m: MultiIndex,
-                params: SolverParams) -> DecomposeResult:
-    R = problem.target_blocks()
-    ks = szego_factor(problem.nodes, lam_m)
-    G = HermitianKernel(problem.nodes, R * ks[:, :, None, None])
-    A = hermitize(G.assembled())
-    w, V = np.linalg.eigh(A)
-    scale = max(np.abs(w).max(), 1.0)
-    if w.min() >= -params.feas_tol * scale:
-        cert = AglerCertificate(
-            {lam_m: HermitianKernel.from_assembled(problem.nodes, psd_clip(A))}, 0.0, 1.0)
-        return DecomposeResult("feasible", cert, None, 0.0, 0)
-    u = V[:, 0]
-    wvec = u.conj().reshape(problem.nodes.n_points, problem.m)
-    blocks = np.einsum("xy,xi,yj->xyij", ks, wvec, wvec.conj())
-    kern = HermitianKernel(problem.nodes, blocks)
-    report = is_admissible(kern, problem.preordering, 1e-12)
-    _, lo = psd_check(kern, 1e-12)
-    val = pairing(R, kern)
-    if report.admissible and val < -params.feas_tol * max(np.abs(kern.blocks).max(), 1e-300):
-        wit = Witness(kern, val, lo, report.worst_eig)
-        return DecomposeResult("infeasible", None, wit, float(-w.min()), 0)
-    return DecomposeResult("unresolved", None, None, float(-w.min()), 0)
+        return _ample_shortcut(problem.nodes, problem.preordering, problem.target_blocks(), 1.0,
+                               params)
+    return _solve_target(problem.nodes, problem.preordering, problem.target_blocks(), 1.0,
+                         params)
 
 
 def sigma_model_min_eig(problem: PickProblem, sigma_ext: AuxFunctionSample) -> float:

@@ -1,12 +1,13 @@
 """Decomposition feasibility, separating witnesses, colligation synthesis,
-transfer-function evaluation, and the induced norm via bisection.
+transfer-function evaluation, and the induced norm.
 
 Feasibility of writing c^2 - phi phi^* as a positive combination of
 hereditary defect factors is a convex feasibility problem over a product
 of PSD cones intersected with an affine set.  Ample preorderings reduce
 to a single eigenvalue test against the Szego kernel; everything else is
-solved iteratively, and infeasibility is only ever reported together with
-an independently re-verified separating kernel.
+one semidefinite program solved by a primal-dual interior-point method,
+and infeasibility is only ever reported together with an independently
+re-verified separating kernel.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_TOL, hermitize, hermitize_stack, polar_isometry,
-                      psd_clip, psd_clip_stack, spectral_norm)
+from ._linalg import (DEFAULT_TOL, hermitian_sqrt, hermitize, hermitize_stack,
+                      polar_isometry, psd_clip, spectral_norm)
 from .auxfun import monomial_rows_at, sigma_at
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                       kolmogorov, psd_check, szego_factor)
@@ -52,14 +53,19 @@ class FunctionSample:
 
 @dataclass
 class SolverParams:
-    """Knobs for the iterative feasibility solver."""
+    """Knobs for the interior-point solver.
+
+    feas_tol is the validators' tolerance; max_iter caps Newton steps; a
+    solve also stops once, over stall_window Newton steps, the width of its
+    certified bracket on s* has not shrunk by a relative stall_rtol while
+    the complementarity has not halved.  force_iterative sends ample
+    preorderings through the solver too.
+    """
 
     feas_tol: float = 1e-8
     max_iter: int = 200_000
-    stall_window: int = 500
+    stall_window: int = 5
     stall_rtol: float = 1e-12
-    check_every: int = 10
-    witness_polish_rounds: int = 500
     force_iterative: bool = False
     seed: int = 0  # recorded for reproducibility of callers' instance generation
 
@@ -129,11 +135,7 @@ def ample_membership(phi: FunctionSample, preordering: Preordering, c: float,
         raise ValueError(f"ample membership needs an ample preordering, got {cls.kind}")
     if not is_zero_one(cls.lambda_max):
         raise ValueError("ample membership needs a 0/1 maximal element")
-    R = _target_blocks(phi, c)
-    ks = szego_factor(phi.sample, cls.lambda_max)
-    M = R * ks[:, :, None, None]
-    A = HermitianKernel(phi.sample, M).assembled()
-    w = np.linalg.eigvalsh(hermitize(A))
+    w = np.linalg.eigvalsh(_szego_gamma(phi.sample, _target_blocks(phi, c), cls.lambda_max))
     scale = max(np.abs(w).max(), 1.0)
     lo = float(w.min())
     return lo >= -tol * scale, lo
@@ -188,255 +190,322 @@ def validate_witness(phi: FunctionSample, preordering: Preordering, c: float,
 
 
 # ---------------------------------------------------------------------------
-# iterative solver
+# interior-point core
+#
+# Every decision is one semidefinite program over the preordering's maximal
+# 0/1 multi-indices, in assembled (N*m) x (N*m) form with D_lam the defect
+# factor tensored with 1_m and J = [1] (x) I_m:
+#
+#     minimise s  subject to  sum_lam D_lam o Gamma_lam - s J = R,  Gamma_lam >= 0,
+#     maximise -<R, W>  subject to  conj(D_lam) o W >= 0,  <J, W> = 1   (dual).
+#
+# R = -phi phi^* gives the squared norm s* = c*^2; R = c^2 J - phi phi^* and
+# the Pick target are feasible exactly when s* <= 0.  Because D_lam o S_lam = J
+# for the Szego matrix S_lam (x) I_m, a primal iterate repairs into an exact
+# certificate at a slightly larger s and a dual iterate into a separating
+# kernel at a slightly smaller one; both then go through the validators.
+
+MAX_INTERIOR_DIM = 32  # N*m; the Newton system is dense in (N*m)^2 unknowns
+_GAP_TOL = 1e-9  # relative duality gap and primal residual that end a solve
+_STEP_DAMPING = 0.95
+
+
+def _inner(A: np.ndarray, B: np.ndarray) -> float:
+    """Real trace inner product Re tr(A^* B)."""
+    return float(np.real(np.vdot(A, B)))
+
+
+def _adjoint(G: np.ndarray) -> np.ndarray:
+    return np.swapaxes(G.conj(), -1, -2)
 
 
 class _Workspace:
-    """Expanded defect weights and projections for the stacked variable."""
+    """Defect weights, Szego lifts and Hermitian coordinates for one target R."""
 
-    def __init__(self, sample: PointSample, lams: list[MultiIndex], R_blocks: np.ndarray):
+    def __init__(self, sample: PointSample, lams: list[MultiIndex], R_blocks: np.ndarray,
+                 feas_tol: float):
         N, m = R_blocks.shape[0], R_blocks.shape[2]
-        self.N, self.m, self.lams = N, m, lams
-        ones = np.ones((m, m))
+        n = N * m
+        if n > MAX_INTERIOR_DIM:
+            raise ValueError(f"interior-point solver takes N*m <= {MAX_INTERIOR_DIM} "
+                             f"(MAX_INTERIOR_DIM); got N*m = {n}")
+        self.sample, self.lams, self.n, self.feas_tol = sample, lams, n, feas_tol
+        ones, eye = np.ones((m, m)), np.eye(m)
         self.D = np.array([np.kron(defect_factor(sample, lam), ones) for lam in lams])
         self.Dc = self.D.conj()
         self.wsum = (np.abs(self.D) ** 2).sum(axis=0)
+        self.diag_min = np.real(np.diagonal(self.D, axis1=1, axis2=2)).min(axis=1)
+        self.S = np.array([np.kron(szego_factor(sample, lam), eye) for lam in lams])
+        # pseudo-inverse roots: one-variable Szego matrices are numerically
+        # singular from a dozen points on
+        self.S_isqrt = np.array([hermitian_sqrt(S)[1] for S in self.S])
+        self.J = np.kron(np.ones((N, N)), eye)
         self.R = HermitianKernel(sample, R_blocks).assembled()
-        self.sample = sample
+        self.scale = float(np.abs(self.R).max()) or 1.0
+        # s J + R needs PSD diagonal blocks, so s* is at least this
+        diag_blocks = R_blocks[np.arange(N), np.arange(N)]
+        self.s_floor = float(-np.linalg.eigvalsh(hermitize_stack(diag_blocks)).min())
+        iu, ju = np.triu_indices(n, 1)
+        self._d, self._u, self._l = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
+        self._rows_i = np.concatenate([np.arange(n), iu])
+        self._rows_j = np.concatenate([np.arange(n), ju])
+        self._DD = (self.D[:, self._rows_i, self._rows_j][:, :, None, None]
+                    * self.Dc[:, None])
 
-    def proj_affine(self, G: np.ndarray) -> np.ndarray:
-        defect = (self.D * G).sum(axis=0) - self.R
+    def apply(self, G: np.ndarray) -> np.ndarray:
+        return (self.D * G).sum(axis=0)
+
+    def proj_affine(self, G: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Nearest stack with sum_lam D_lam o G_lam = target (entrywise exact)."""
+        defect = self.apply(G) - target
         return G - self.Dc * (defect / self.wsum)[None]
 
-    def residual(self, G: np.ndarray) -> float:
-        return float(np.abs((self.D * G).sum(axis=0) - self.R).max())
+    def to_real(self, H: np.ndarray) -> np.ndarray:
+        """Coordinates <E, H> of a Hermitian H against the basis of from_real."""
+        h = H.reshape(-1)
+        return np.concatenate([h[self._d].real, 2 * h[self._u].real, 2 * h[self._u].imag])
 
-    def zero(self) -> np.ndarray:
-        n = self.N * self.m
-        return np.zeros((len(self.lams), n, n), dtype=complex)
+    def from_real(self, v: np.ndarray) -> np.ndarray:
+        """Hermitian matrix with diagonal v[:n] and upper triangle re + i im."""
+        n, k = self.n, len(self._u)
+        h = np.empty(n * n, dtype=complex)
+        h[self._d] = v[:n]
+        h[self._u] = v[n:n + k] + 1j * v[n + k:]
+        h[self._l] = v[n:n + k] - 1j * v[n + k:]
+        return h.reshape(n, n)
 
-    def to_kernels(self, G: np.ndarray) -> dict:
-        out = {}
-        for i, lam in enumerate(self.lams):
-            out[lam] = HermitianKernel.from_assembled(self.sample, psd_clip(G[i]))
-        return out
+    def schur(self, X: np.ndarray, Zi: np.ndarray, lp: float) -> np.ndarray:
+        """Real n^2 x n^2 matrix of dW -> sum D o herm(X (conj(D) o dW) Z^-1) + lp <J, dW> J
+        in the coordinates of to_real/from_real.
+
+        The map is complex-linear on vec(dW) with M[(j,i),(l,k)] = conj M[(i,j),(k,l)],
+        so the rows i <= j, gathered entrywise, determine it.
+        """
+        n, nd = self.n, len(self._d)
+        Mh = 0
+        for DD, Xl, Zl in zip(self._DD, X, Zi):
+            T = Xl[self._rows_i][:, :, None] * Zl.T[self._rows_j][:, None, :]
+            T += Zl[self._rows_i][:, :, None] * Xl.T[self._rows_j][:, None, :]
+            Mh = Mh + DD * T
+        Mh = Mh.reshape(-1, n * n) / 2
+        Md, Mu = Mh[:nd], Mh[nd:]
+        d, u, l = self._d, self._u, self._l
+        Mul, Mup = Mu[:, l], Mu[:, u]
+        rows = [(Md[:, d].real, 2 * Md[:, u].real, -2 * Md[:, u].imag),
+                (2 * Mu[:, d].real, 2 * (Mup + Mul).real, 2 * (Mul - Mup).imag),
+                (2 * Mu[:, d].imag, 2 * (Mup + Mul).imag, 2 * (Mup - Mul).real)]
+        M = np.concatenate([np.concatenate(r, axis=1) for r in rows])
+        j = self.to_real(self.J)
+        return M + lp * np.outer(j, j)
+
+    def upper(self, X: np.ndarray, s: float) -> tuple:
+        """s* <= s + sum t_lam: X repaired onto the affine set at s, then each
+        Gamma_lam lifted by the least t_lam (S_lam (x) I_m) that makes it PSD
+        (on the numerical range of S_lam; the validators check the rest)."""
+        Xp = hermitize_stack(self.proj_affine(X, self.R + s * self.J))
+        w = np.linalg.eigvalsh(hermitize_stack(self.S_isqrt @ Xp @ _adjoint(self.S_isqrt)))
+        lifts = np.maximum(-w[:, 0], 0.0)
+        return s + float(lifts.sum()), Xp, lifts
+
+    def certificate(self, upper: tuple, kappa: float, c: float) -> AglerCertificate:
+        """Gammas reassembling R + kappa J from an upper bound at most kappa."""
+        value, Xp, lifts = upper
+        G = Xp + lifts[:, None, None] * self.S
+        G[0] += max(kappa - value, 0.0) * self.S[0]
+        residual = float(np.abs(self.apply(G) - self.R - kappa * self.J).max())
+        gammas = {lam: HermitianKernel.from_assembled(self.sample, hermitize(g))
+                  for lam, g in zip(self.lams, G)}
+        return AglerCertificate(gammas, residual, c)
+
+    def lower(self, W: np.ndarray) -> tuple:
+        """s* >= value: W plus the least eps I that makes it admissible,
+        normalised to <J, W> = 1, with room left for the validators' feas_tol."""
+        W = hermitize(W)
+        need = -np.linalg.eigvalsh(hermitize_stack(self.Dc * W))[:, 0] / self.diag_min
+        eps = max(-np.linalg.eigvalsh(W)[0], need.max(), 0.0)
+        W = W + (eps + 64 * np.finfo(float).eps * np.abs(W).max()) * np.eye(self.n)
+        mass = _inner(self.J, W)
+        if not mass > 0:
+            return -np.inf, None
+        W = W / mass
+        return -_inner(self.R, W) - self.feas_tol * float(np.abs(W).max()), W
+
+    def witness_kernel(self, lower: tuple) -> HermitianKernel:
+        return HermitianKernel.from_assembled(self.sample, lower[1].conj())
 
 
-def _dual_candidates(ws: _Workspace, gaps: list[np.ndarray]) -> list[np.ndarray]:
-    """Least-squares pullbacks of gap-vector estimates to dual matrices W."""
-    cands = []
-    for v in gaps:
-        if v is None or not np.isfinite(v).all():
-            continue
-        V = (ws.D * v).sum(axis=0) / ws.wsum
-        W = hermitize(-V)
-        nrm = np.linalg.norm(W)
-        if nrm > 1e-300:
-            cands.append(W / nrm)
-    return cands
+def _max_steps(primal: tuple, dual: tuple) -> tuple[float, float]:
+    """Largest a with X + a dX >= 0 and x + a dx >= 0, for primal = (X, dX, x, dx)
+    and dual = (Z, dZ, z, dz), in one batch."""
+    Li = np.linalg.inv(np.linalg.cholesky(np.concatenate([primal[0], dual[0]])))
+    dS = np.concatenate([primal[1], dual[1]])
+    lo = np.linalg.eigvalsh(hermitize_stack(Li @ dS @ _adjoint(Li)))[:, 0]
+    out = []
+    for w, (_, _, x, dx) in zip(np.split(lo, 2), (primal, dual)):
+        a = np.inf if w.min() >= 0 else -1.0 / w.min()
+        out.append(a if dx >= 0 else min(a, -x / dx))
+    return out[0], out[1]
 
 
-def _polish_dual(ws: _Workspace, W: np.ndarray, rounds: int) -> np.ndarray:
-    """Cyclic quasi-projection onto {W : conj(d_lam) o W >= 0 for all lam}."""
-    for _ in range(rounds):
-        worst = 0.0
-        for i in range(len(ws.lams)):
-            T = hermitize(ws.Dc[i] * W)
-            w, V = np.linalg.eigh(T)
-            if w.min() < 0:
-                worst = max(worst, -w.min())
-                Tp = (V * np.clip(w, 0, None)) @ V.conj().T
-                W = hermitize(Tp / ws.Dc[i])
-        if worst == 0.0:
-            break
-    return W
+def _newton_step(ws: _Workspace, X, t, W, Z, z, rp):
+    """One HKM step with Mehrotra's predictor-corrector on (X, t; W, Z, z).
 
-
-def _dual_search(ws: _Workspace, seed: np.ndarray, rounds: int) -> np.ndarray:
-    """Search the dual cone for a separating W with pairing fixed at -1.
-
-    Alternates the exact projection onto the hyperplane <R, W> = -1 with
-    cyclic quasi-projections onto {W : conj(d_lam) o W >= 0}.  Heuristic
-    (quasi-projections are exact only in a weighted metric), so the result
-    is only a candidate for the usual a-posteriori verification.
+    t = s - s_floor >= 0 and z = 1 - <J, W> >= 0 make the free s a conic
+    variable; Z_lam is the slack of conj(D_lam) o W.
     """
-    R = ws.R
-    rnorm2 = float(np.real(np.sum(R * R.conj())))
-    if rnorm2 <= 0:
-        return seed
-    W = seed.copy()
-    for _ in range(rounds):
-        val = float(np.real(np.sum(R * W.conj())))
-        W = W - ((val + 1.0) / rnorm2) * R
-        for i in range(len(ws.lams)):
-            T = hermitize(ws.Dc[i] * W)
-            w, V = np.linalg.eigh(T)
-            if w.min() < 0:
-                Tp = (V * np.clip(w, 0, None)) @ V.conj().T
-                W = hermitize(Tp / ws.Dc[i])
-    return W
+    k = Z.shape[0] * ws.n + 1
+    Rd = ws.Dc * W - Z
+    rz = 1 - _inner(ws.J, W) - z
+    mu = (_inner(X, Z) + t * z) / k
+    Zi = hermitize_stack(np.linalg.inv(Z))
+    M = ws.schur(X, Zi, t / z)
+
+    def direction(sigma_mu, corr_X, corr_t):
+        C = sigma_mu * Zi - X - hermitize_stack(X @ Rd @ Zi) - corr_X
+        ct = (sigma_mu - corr_t) / z - t
+        h = ws.apply(C) - (ct - t / z * rz) * ws.J - rp
+        dW = ws.from_real(np.linalg.solve(M, ws.to_real(h)))
+        dX = C - hermitize_stack(X @ (ws.Dc * dW) @ Zi)
+        dZ = ws.Dc * dW + Rd
+        dz = rz - _inner(ws.J, dW)
+        return dX, ct - t / z * dz, dW, dZ, dz
+
+    dX, dt, dW, dZ, dz = direction(0.0, 0.0, 0.0)
+    ap, ad = (min(1.0, a) for a in _max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
+    mu_aff = (_inner(X + ap * dX, Z + ad * dZ) + (t + ap * dt) * (z + ad * dz)) / k
+    sigma = min(max(mu_aff / mu, 0.0), 1.0) ** 3
+    dX, dt, dW, dZ, dz = direction(sigma * mu, hermitize_stack(dX @ dZ @ Zi), dt * dz)
+    ap, ad = (min(1.0, _STEP_DAMPING * a) for a in _max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
+    return X + ap * dX, t + ap * dt, W + ad * dW, Z + ad * dZ, z + ad * dz
 
 
-def _witness_from_candidates(ws: _Workspace, preordering: Preordering,
-                             R_blocks: np.ndarray, gaps: list[np.ndarray],
-                             params: SolverParams) -> Witness | None:
-    raw = _dual_candidates(ws, gaps)
-    refined = [_dual_search(ws, W, params.witness_polish_rounds) for W in raw[:1]]
-    for W in raw + refined:
-        W = _polish_dual(ws, W, params.witness_polish_rounds)
-        if np.abs(W).max() < 1e-300:
-            continue
-        W = W / np.abs(W).max()
+def _interior_point(ws: _Workspace, params: SolverParams):
+    """Primal-dual path following; yields (steps, best upper, best lower).
+
+    The best bounds are kept because the Newton system degrades near the
+    optimum.  Stops at a relative duality gap and primal residual below
+    _GAP_TOL, after max_iter Newton steps, on a breakdown of the Newton
+    system, or on a stall: over stall_window steps the bracket width has
+    not shrunk by a relative stall_rtol and the complementarity <X, Z> + t z
+    has not halved.  (Early on the bounds can rest for several steps while
+    the complementarity still falls fast.)
+    """
+    L, n = len(ws.lams), ws.n
+    B = ws.R + ws.s_floor * ws.J
+    X = np.tile(ws.scale * np.eye(n, dtype=complex), (L, 1, 1))
+    t, z = ws.scale, 0.5
+    W = np.eye(n, dtype=complex) / (2 * n)
+    Z = ws.Dc * W
+    hi, lo = ws.upper(X, ws.s_floor + t), ws.lower(W)
+    history = []  # (bracket width, complementarity) per iterate
+    for steps in range(params.max_iter + 1):
+        yield steps, hi, lo
+        history.append((hi[0] - lo[0], _inner(X, Z) + t * z))
+        if len(history) > params.stall_window:
+            (w0, gap0), (w, gap) = history[-1 - params.stall_window], history[-1]
+            if w0 - w <= params.stall_rtol * abs(w0) and gap > gap0 / 2:
+                return
+        rp = B - ws.apply(X) + t * ws.J
+        tol = _GAP_TOL * (ws.scale + abs(ws.s_floor + t))
+        if abs(t + _inner(B, W)) <= tol and np.abs(rp).max() <= tol or steps == params.max_iter:
+            return
         try:
-            kern = HermitianKernel.from_assembled(ws.sample, W.conj())
-        except ValueError:
-            continue
-        verified = validate_witness_target(ws.sample, preordering, R_blocks,
-                                           kern, params.feas_tol)
-        if verified is not None:
-            return verified
-        # rank-one cut along the top eigenvector, per the separation argument
-        w, V = np.linalg.eigh(W)
-        h = V[:, -1] * np.sqrt(max(w[-1], 0.0))
-        W1 = _polish_dual(ws, np.outer(h, h.conj()), params.witness_polish_rounds)
-        if np.abs(W1).max() > 1e-300:
-            try:
-                kern1 = HermitianKernel.from_assembled(ws.sample, W1.conj() / np.abs(W1).max())
-            except ValueError:
-                continue
-            verified = validate_witness_target(ws.sample, preordering, R_blocks,
-                                               kern1, params.feas_tol)
-            if verified is not None:
-                return verified
-    return None
+            X, t, W, Z, z = _newton_step(ws, X, t, W, Z, z, rp)
+        except np.linalg.LinAlgError:
+            return
+        if not (np.isfinite(X).all() and np.isfinite(W).all()):
+            return
+        up, low = ws.upper(X, ws.s_floor + t), ws.lower(W)
+        hi = up if up[0] < hi[0] else hi
+        lo = low if low[0] > lo[0] else lo
 
 
-def _solve_iterative(phi: FunctionSample, preordering: Preordering, c: float,
-                     params: SolverParams,
-                     R_blocks: np.ndarray | None = None) -> DecomposeResult:
-    lams = _decomposition_lambdas(preordering)
-    if R_blocks is None:
-        R_blocks = _target_blocks(phi, c)
-    ws = _Workspace(phi.sample, lams, R_blocks)
-    scale = max(np.abs(ws.R).max(), 1.0)
-    tol = params.feas_tol * scale
+def _solve_target(sample: PointSample, preordering: Preordering, R_blocks: np.ndarray,
+                  c: float, params: SolverParams) -> DecomposeResult:
+    """Decide R = sum_lam D_lam o Gamma_lam from one interior-point solve.
 
-    stall_w = max(params.stall_window // params.check_every, 1)
+    Returns as soon as a validated certificate (s* <= 0) or witness (s* > 0)
+    decides the sign of s*.
+    """
+    ws = _Workspace(sample, _decomposition_lambdas(preordering), R_blocks, params.feas_tol)
 
-    def try_certificate(G: np.ndarray, it: int) -> DecomposeResult | None:
-        res = ws.residual(G)
-        if res <= tol:
-            cert = AglerCertificate(ws.to_kernels(G), res, c)
-            ok, resid, _ = validate_certificate_target(ws.sample, preordering,
-                                                       R_blocks, cert, params.feas_tol)
-            if ok:
-                return DecomposeResult("feasible", cert, None, resid, it)
-        return None
+    def certified(hi, steps):
+        cert = ws.certificate(hi, 0.0, c)
+        ok, resid, _ = validate_certificate_target(sample, preordering, R_blocks, cert,
+                                                   params.feas_tol)
+        return DecomposeResult("feasible", cert, None, resid, steps) if ok else None
 
-    def run_dr(u: np.ndarray, start: int, budget: int, stall: bool):
-        """Douglas-Rachford up to `budget` total iterations.  Returns
-        (result-or-None, u, iterations); stalls on the cumulative best
-        residual only when `stall` is set (DR residuals can plateau
-        transiently, so resumed runs disable it)."""
-        best: list[float] = []
-        it = start
-        while it < budget:
-            x = psd_clip_stack(u)
-            y = ws.proj_affine(2 * x - u)
-            u = u + (y - x)
-            it += 1
-            if it % params.check_every == 0:
-                G = psd_clip_stack(u)
-                done = try_certificate(G, it)
-                if done is not None:
-                    return done, u, it
-                res = ws.residual(G)
-                best.append(min(res, best[-1]) if best else res)
-                if stall and len(best) > stall_w:
-                    old, new = best[-stall_w - 1], best[-1]
-                    if old - new < params.stall_rtol * max(old, 1e-300):
-                        break
-        return None, u, it
+    def separated(hi, lo, steps):
+        wit = validate_witness_target(sample, preordering, R_blocks, ws.witness_kernel(lo),
+                                      params.feas_tol)
+        return DecomposeResult("infeasible", None, wit, max(hi[0], 0.0), steps) if wit else None
 
-    # phase 1: Douglas-Rachford splitting (accelerated alternating projections)
-    u = ws.proj_affine(ws.zero())
-    u0 = u.copy()
-    done, u, it = run_dr(u, 0, params.max_iter // 2, stall=True)
-    if done is not None:
-        return done
-    dr_gap = -(u - u0) / it if it else None
-
-    # phase 2: Dykstra with correction; the correction accumulates the dual ray
-    y = ws.proj_affine(ws.zero())
-    p = ws.zero()
-    z = psd_clip_stack(y)
-    best: list[float] = []
-    dyk_start = it
-    dyk_budget = it + params.max_iter // 4
-    while it < dyk_budget:
-        z = psd_clip_stack(hermitize_stack(y + p))
-        p = y + p - z
-        y = ws.proj_affine(z)
-        it += 1
-        if it % params.check_every == 0:
-            done = try_certificate(z, it)
-            if done is not None:
-                return done
-            res = ws.residual(z)
-            best.append(min(res, best[-1]) if best else res)
-            if len(best) > stall_w:
-                old, new = best[-stall_w - 1], best[-1]
-                if old - new < params.stall_rtol * max(old, 1e-300):
-                    break
-
-    dyk_iters = max(it - dyk_start, 1)
-    witness = _witness_from_candidates(
-        ws, preordering, R_blocks,
-        [y - z, -p / dyk_iters, dr_gap], params)
-    if witness is not None:
-        return DecomposeResult("infeasible", None, witness,
-                               ws.residual(z), it)
-
-    # phase 3: no verified witness; resume the primal iteration with the
-    # remaining budget in case phase 1 quit on a transient plateau
-    done, u, it = run_dr(u, it, params.max_iter, stall=False)
-    if done is not None:
-        return done
-    final = psd_clip_stack(u)
-    witness = _witness_from_candidates(
-        ws, preordering, R_blocks,
-        [-(u - u0) / max(it, 1), y - z, -p / dyk_iters], params)
-    if witness is not None:
-        return DecomposeResult("infeasible", None, witness, ws.residual(final), it)
-    return DecomposeResult("unresolved", None, None, ws.residual(final), it)
+    for steps, hi, lo in _interior_point(ws, params):
+        done = (hi[0] <= 0 and certified(hi, steps)) or (lo[0] > 0 and separated(hi, lo, steps))
+        if done:
+            return done
+    done = (lo[0] > 0 and separated(hi, lo, steps)) or certified(hi, steps)
+    return done or DecomposeResult("unresolved", None, None, max(hi[0], 0.0), steps)
 
 
-def _ample_shortcut(phi: FunctionSample, preordering: Preordering, c: float,
-                    params: SolverParams) -> DecomposeResult:
+def _szego_gamma(sample: PointSample, R_blocks: np.ndarray, lam: MultiIndex) -> np.ndarray:
+    """R o (S_lam (x) 1_m), assembled: Gamma_lam of the certificate that uses
+    lam alone, since D_lam o S_lam = 1."""
+    ks = szego_factor(sample, lam)
+    return hermitize(HermitianKernel(sample, R_blocks * ks[:, :, None, None]).assembled())
+
+
+def _szego_top(phi: FunctionSample, lam: MultiIndex,
+               shift: float | np.ndarray = 0.0) -> tuple[float, np.ndarray]:
+    """Top generalized eigenpair of phi phi^* o (S_lam (x) 1_m) - diag(shift)
+    against S_lam (x) I_m.  At shift 0 the eigenvalue is the least c^2 at
+    which _szego_gamma of c^2 J - phi phi^* is PSD.  At shift = feas_tol
+    diag(S_lam (x) I_m) it is a c^2 at which _szego_witness of the
+    eigenvector still separates within the validator's feas_tol, since the
+    largest entry of that PSD witness sits on its diagonal.  The eigenvector
+    has unit norm, which keeps the rank-one defect kernels of that witness
+    within the admissibility check's absolute tolerance."""
+    A = -_szego_gamma(phi.sample, _target_blocks(phi, 0.0), lam)
+    ks = szego_factor(phi.sample, lam)
+    Bi = hermitian_sqrt(np.kron(ks, np.eye(phi.m_out)))[1]  # on the numerical range
+    w, V = np.linalg.eigh(hermitize(Bi @ (A - np.diag(shift * np.ones(len(A)))) @ Bi))
+    u = Bi @ V[:, -1]
+    return float(w[-1]), u / np.linalg.norm(u)
+
+
+def _szego_witness(sample: PointSample, lam: MultiIndex, u: np.ndarray) -> HermitianKernel:
+    """k_s * (w w^*) with w = conj(u): admissible for every preordering under
+    lam, with pairing u^* (R o k_s) u against a target R."""
+    w = u.conj().reshape(sample.n_points, -1)
+    ks = szego_factor(sample, lam)
+    return HermitianKernel(sample, np.einsum("xy,xi,yj->xyij", ks, w, w.conj()))
+
+
+def _szego_certificate(sample: PointSample, lams: list[MultiIndex], lam: MultiIndex,
+                       gamma: np.ndarray, c: float) -> AglerCertificate:
+    """Gamma_lam = gamma (a _szego_gamma) clipped to PSD, every other Gamma zero."""
+    gammas = {mu: HermitianKernel.from_assembled(
+        sample, psd_clip(gamma) if mu == lam else np.zeros_like(gamma)) for mu in lams}
+    return AglerCertificate(gammas, 0.0, c)
+
+
+def _ample_shortcut(sample: PointSample, preordering: Preordering, R_blocks: np.ndarray,
+                    c: float, params: SolverParams) -> DecomposeResult:
     """For ample preorderings the affine set is a point: Gamma = R * k_s."""
-    cls = classify(preordering)
-    lam_m = cls.lambda_max
-    R = _target_blocks(phi, c)
-    ks = szego_factor(phi.sample, lam_m)
-    G_blocks = R * ks[:, :, None, None]
-    G = HermitianKernel(phi.sample, G_blocks)
-    A = hermitize(G.assembled())
+    lam_m = classify(preordering).lambda_max
+    A = _szego_gamma(sample, R_blocks, lam_m)
     w, V = np.linalg.eigh(A)
     scale = max(np.abs(w).max(), 1.0)
     if w.min() >= -params.feas_tol * scale:
-        cert = AglerCertificate({lam_m: HermitianKernel.from_assembled(phi.sample, psd_clip(A))},
-                                0.0, c)
-        ok, resid, _ = validate_certificate(phi, preordering, c, cert, params.feas_tol)
+        cert = _szego_certificate(sample, [lam_m], lam_m, A, c)
+        ok, resid, _ = validate_certificate_target(sample, preordering, R_blocks, cert,
+                                                   params.feas_tol)
         if ok:
             return DecomposeResult("feasible", cert, None, resid, 0)
         return DecomposeResult("unresolved", None, None, resid, 0)
-    # separating kernel from the violated direction: k_s * (w w^*) stays admissible
-    u = V[:, 0]
-    m = phi.m_out
-    wvec = u.conj().reshape(phi.sample.n_points, m)
-    blocks = np.einsum("xy,xi,yj->xyij", ks, wvec, wvec.conj())
-    kern = HermitianKernel(phi.sample, blocks)
-    witness = validate_witness(phi, preordering, c, kern, params.feas_tol)
+    # separating kernel from the violated direction
+    kern = _szego_witness(sample, lam_m, V[:, 0])
+    witness = validate_witness_target(sample, preordering, R_blocks, kern, params.feas_tol)
     if witness is None:
         return DecomposeResult("unresolved", None, None, float(-w.min()), 0)
     return DecomposeResult("infeasible", None, witness, float(-w.min()), 0)
@@ -454,8 +523,8 @@ def agler_decompose(phi: FunctionSample, preordering: Preordering, c: float = 1.
         raise ValueError("decomposition targets square matrix values")
     cls = classify(preordering)
     if cls.is_ample and not params.force_iterative:
-        return _ample_shortcut(phi, preordering, c, params)
-    return _solve_iterative(phi, preordering, c, params)
+        return _ample_shortcut(phi.sample, preordering, _target_blocks(phi, c), c, params)
+    return _solve_target(phi.sample, preordering, _target_blocks(phi, c), c, params)
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +634,16 @@ def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
     the partial isometry to a unitary by pairing orthonormal bases of the
     complements in SVD order.
     """
-    if cert.c != 0 and abs(cert.c - 1.0) > 1e-12:
-        phi = FunctionSample(phi.sample, phi.values / cert.c)
+    # c^2 - phi phi^* = sum D o Gamma is 1 - (phi/c)(phi/c)^* = sum D o (Gamma/c^2)
+    c = cert.c if cert.c != 0 and abs(cert.c - 1.0) > 1e-12 else 1.0
+    phi = FunctionSample(phi.sample, phi.values / c)
     sample = phi.sample
     N, m = sample.n_points, phi.m_out
     lams = cert.lambdas()
     gammas, mults, ns = {}, {}, {}
     for lam in lams:
         fac = kolmogorov(cert.gammas[lam], rank_tol)
-        gammas[lam] = fac.gammas  # (N, m, r)
+        gammas[lam] = fac.gammas / c  # (N, m, r)
         mults[lam] = fac.rank
         ns[lam] = 2 ** (weight(lam) - 1)
     E = sum(mults[lam] * ns[lam] for lam in lams)
@@ -645,7 +715,7 @@ def transfer_compose(c1: Colligation, c2: Colligation, mode: str = "product",
 
 
 # ---------------------------------------------------------------------------
-# norm bisection
+# norm
 
 
 @dataclass(frozen=True)
@@ -655,63 +725,91 @@ class NormResult:
     resolved: bool
     certificate: AglerCertificate | None
     witness: Witness | None
-    evaluations: tuple  # ((c, status), ...)
+    evaluations: tuple  # ((c, status), ...): (c_lo, "infeasible") and (c_hi, "feasible")
+
+
+def _offsets(scale: float) -> list[float]:
+    """How far a bracket end moves, growing x10, until its object validates."""
+    return [0.0] + [scale * 10.0 ** k for k in range(-15, -3)]
+
+
+def _first(candidates):
+    return next((x for x in candidates if x), None)
 
 
 def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
                      tol: float = 1e-6, params: SolverParams | None = None) -> NormResult:
-    """Bracket the least c admitting a decomposition, by bisection.
+    """Bracket the least c admitting a decomposition from one solve.
 
-    The lower end only rises on verified infeasibility, the upper end only
-    falls on verified certificates; unresolved solver statuses terminate
-    with the current (wider) bracket instead of guessing.
+    Ample preorderings take the closed form c*^2 = lambda_max(phi phi^* o
+    (k_s (x) 1_m), k_s (x) I_m); everything else one interior-point solve of
+    min s with R = -phi phi^*.  c_hi carries a validated certificate and c_lo
+    a validated witness, or is the sup norm with no witness; `resolved`
+    means c_hi - c_lo <= tol.
     """
     params = params or SolverParams()
-    evals = []
-    cert_hi, wit_lo = None, None
+    sup = phi.sup_norm()
+    if sup == 0.0:
+        out = agler_decompose(phi, preordering, 0.0, params)
+        return NormResult(0.0, 0.0, out.feasible, out.certificate, None, ((0.0, out.status),))
+    lams = _decomposition_lambdas(preordering)
 
-    def probe(c: float) -> DecomposeResult:
-        out = agler_decompose(phi, preordering, c, params)
-        evals.append((c, out.status))
-        return out
+    def szego_cert(lam):  # the certificate on lam alone, as a function of c
+        return lambda c: _szego_certificate(
+            phi.sample, lams, lam, _szego_gamma(phi.sample, _target_blocks(phi, c), lam), c)
 
-    c_lo = phi.sup_norm()
-    if c_lo == 0.0:
-        out = probe(0.0)
-        return NormResult(0.0, 0.0, True, out.certificate, None, tuple(evals))
+    cls = classify(preordering)
+    if cls.is_ample and not params.force_iterative:
+        lam = cls.lambda_max
+        hi = _certificate_end(phi, preordering, _szego_top(phi, lam)[0], szego_cert(lam),
+                              params)
+        shift = params.feas_tol * np.repeat(np.diag(szego_factor(phi.sample, lam)).real,
+                                            phi.m_out)
+        u = _szego_top(phi, lam, shift)[1]
+        lo = _witness_end(phi, preordering, _szego_witness(phi.sample, lam, u), params, sup)
+    else:
+        ws = _Workspace(phi.sample, lams, _target_blocks(phi, 0.0), params.feas_tol)
+        for _, upper, lower in _interior_point(ws, params):
+            pass
+        hi = _certificate_end(phi, preordering, upper[0],
+                              lambda c: ws.certificate(upper, c * c, c), params)
+        if hi is None:  # the certificate on one lambda alone always exists
+            hi = _certificate_end(phi, preordering, _szego_top(phi, lams[0])[0],
+                                  szego_cert(lams[0]), params)
+        lo = lower[1] is not None and _witness_end(phi, preordering, ws.witness_kernel(lower),
+                                                   params, sup)
+    c_hi, cert = hi or (np.inf, None)
+    c_lo, wit = lo or (sup, None)
+    evals = ((c_lo, "infeasible"),) if wit else ()
+    evals += ((c_hi, "feasible"),) if cert else ()
+    return NormResult(c_lo, c_hi, bool(cert is not None and c_hi - c_lo <= tol), cert, wit,
+                      evals)
 
-    out = probe(c_lo)
-    if out.feasible:
-        return NormResult(c_lo, c_lo, True, out.certificate, None, tuple(evals))
-    if out.status == "infeasible":
-        wit_lo = out.witness
 
-    step, resolved = 1.0, True
-    c_hi = None
-    for _ in range(60):
-        out = probe(c_lo + step)
-        if out.feasible:
-            c_hi = c_lo + step
-            cert_hi = out.certificate
-            break
-        if out.status == "unresolved":
-            resolved = False
-            break
-        wit_lo = out.witness
-        c_lo = c_lo + step
-        step *= 2
-    if c_hi is None:
-        return NormResult(c_lo, np.inf if resolved else c_lo + step, False,
-                          cert_hi, wit_lo, tuple(evals))
+def _certificate_end(phi, preordering, c_sq, build, params):
+    """(c, certificate) at the first c^2 = c_sq + offset whose build(c) validates."""
+    def certified(sq):
+        c = float(np.sqrt(sq))
+        cert = build(c)
+        ok = validate_certificate(phi, preordering, c, cert, params.feas_tol)[0]
+        return (c, cert) if ok else None
 
-    while c_hi - c_lo > tol:
-        mid = (c_lo + c_hi) / 2
-        out = probe(mid)
-        if out.feasible:
-            c_hi, cert_hi = mid, out.certificate
-        elif out.status == "infeasible":
-            c_lo, wit_lo = mid, out.witness
-        else:
-            resolved = False
-            break
-    return NormResult(c_lo, c_hi, resolved, cert_hi, wit_lo, tuple(evals))
+    return _first(certified(c_sq + off) for off in _offsets(c_sq))
+
+
+def _witness_end(phi, preordering, kern, params, sup):
+    """(c, witness) at the largest c > sup where kern separates, found in closed
+    form (the pairing is affine in c^2) and lowered by an offset until the
+    witness validates."""
+    R0 = _target_blocks(phi, 0.0)
+    mass = pairing(_target_blocks(phi, 1.0) - R0, kern)
+    if not mass > 0:
+        return None
+    c_sq = -(pairing(R0, kern) + params.feas_tol * np.abs(kern.blocks).max()) / mass
+
+    def separated(sq):
+        c = float(np.sqrt(sq))
+        wit = validate_witness(phi, preordering, c, kern, params.feas_tol)
+        return (c, wit) if wit else None
+
+    return _first(separated(c_sq - off) for off in _offsets(c_sq) if c_sq - off > sup * sup)

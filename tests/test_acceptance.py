@@ -127,11 +127,11 @@ def test_accept_03_nearly_ample_equivalence():
     D_{(1,1,1)}, a nearly-ample certificate at c times the Szego kernel of
     the dropped coordinate is an ample certificate at c, so the ample norm
     never exceeds a nearly-ample one.  The other half is printed, not
-    bounded: on this seed-103 instance a validated nearly-ample witness and
-    a validated ample certificate put the (0,1) norm at least 7.98e-2 above
-    the ample norm, and (0,2), (1,2) at least 5.55e-3 above it
+    bounded: on this seed-103 instance the brackets, each certified at both
+    ends, put the ample norm at 0.5817854, the (0,1) norm 8.816e-2 above it
+    and the (0,2), (1,2) norms 7.949e-3 above it
     (`python scripts/preordering_gap.py --seed 103 --trials 1` prints the
-    same certified bounds).  The identity itself is checked on phi = p/5
+    same gaps).  The identity itself is checked on phi = p/5
     for the KV quadratic p: its H-infinity norm is exactly 1, yet it lies
     outside the classical Schur-Agler ball (|p(T_KV)| = 3 sqrt 3 > 5), so
     every sample of it must decompose at c = 1 under each nearly ample
@@ -174,7 +174,8 @@ def test_accept_03_nearly_ample_equivalence():
             _record("witness", witness_ok, "nearly-ample norm lower end")
         slacks.append(out_a.c_lo - out_na.c_hi)
         certified = ample_ok and witness_ok
-        gaps.append(f"{out_na.c_lo - out_a.c_hi:.3e}{'' if certified else ' (uncertified)'}")
+        gaps.append(f"[{out_na.c_lo - out_a.c_hi:.4e}, {out_na.c_hi - out_a.c_lo:.4e}]"
+                    f"{'' if certified else ' (uncertified)'}")
 
     # the identity on p/5: c = 1 exactly, on samples running up to its peak set
     theta = rng.uniform(0, 2 * np.pi, 3)
@@ -196,7 +197,7 @@ def test_accept_03_nearly_ample_equivalence():
              f"max ample-over-nearly-ample slack {max(slacks):.3e} (bound 1e-3), "
              f"p_KV/5 certified at c=1 on {kv_certified}/{kv_total} samples; "
              f"finite-sample gaps {', '.join(gaps)} "
-             "(certified lower bounds; scripts/preordering_gap.py)")
+             "(exact up to the bracket widths; scripts/preordering_gap.py)")
     assert ample_ok
     assert ordering_ok, (
         f"ample norm lower end exceeds a nearly-ample upper end by {max(slacks):.3e} "

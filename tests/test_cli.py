@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from aglerlab.cli import main
+from aglerlab.realize import FunctionSample
 from aglerlab.sampling import random_points, random_transfer_sample
-from aglerlab.serialize import (colligation_to_json, dumps, kernel_to_json,
-                                points_to_json)
+from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
+                                kernel_to_json, points_to_json)
 from aglerlab.kernels import ones_kernel, szego_kernel
 
 
@@ -45,6 +46,25 @@ class TestRealizeCommand:
         assert doc["status"] == "feasible"
         assert doc["roundtrip_max_error"] < 1e-7
         assert "colligation" in doc
+
+    def test_roundtrip_above_one(self, tmp_path):
+        # at c != 1 both phi and the certificate's Kolmogorov factors are
+        # rescaled by 1/c before the lurking isometry's Gram check
+        rng = np.random.default_rng(12)
+        phi, _ = random_transfer_sample(rng, 6, 2)
+        payload = {**function_sample_to_json(FunctionSample(phi.sample, 0.9 * phi.values)),
+                   "preordering": [[1, 1]], "c": 1.2}
+        code, doc = run_cli(["realize"], tmp_path, payload)
+        assert code == 0
+        assert doc["status"] == "feasible"
+        assert doc["roundtrip_max_error"] < 1e-8
+
+    def test_over_size_limit_exits_one(self, tmp_path, capsys):
+        phi, _ = random_transfer_sample(np.random.default_rng(13), 33, 2)
+        payload = {**function_sample_to_json(phi), "preordering": [[1, 0], [0, 1]]}
+        code, doc = run_cli(["decompose"], tmp_path, payload)
+        assert code == 1 and doc is None
+        assert "MAX_INTERIOR_DIM" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, tmp_path):
         payload = {

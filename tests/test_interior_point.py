@@ -1,0 +1,68 @@
+"""Properties of the interior-point core on small random samples.
+
+Every object a solve returns must re-validate through the independent
+validators, and the answers must respect the order structure of the
+decomposition cones.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from aglerlab.preorder import classical, standard_ample, standard_nearly_ample
+from aglerlab.realize import (FunctionSample, SolverParams, agler_decompose,
+                              schur_agler_norm, validate_certificate, validate_witness)
+from aglerlab.sampling import random_transfer_sample
+
+FEAS_TOL = SolverParams().feas_tol
+PREORDERINGS = [classical(2), classical(3), standard_nearly_ample(3, 0, 1),
+                standard_nearly_ample(3, 1, 2)]
+SMALL = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def _sample(seed: int, n: int, d: int, scale: float) -> FunctionSample:
+    phi, _ = random_transfer_sample(np.random.default_rng(seed), n, d)
+    return FunctionSample(phi.sample, scale * phi.values)
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+sizes = st.integers(2, 4)
+scales = st.floats(0.2, 1.5)
+
+
+@SMALL
+@given(seeds, sizes, st.sampled_from(PREORDERINGS), scales)
+def test_norm_ends_revalidate_above_sup(seed, n, pre, scale):
+    phi = _sample(seed, n, pre.d, scale)
+    out = schur_agler_norm(phi, pre, tol=1e-4)
+    assert out.resolved
+    assert out.c_lo >= phi.sup_norm()
+    assert out.c_lo <= out.c_hi
+    assert validate_certificate(phi, pre, out.c_hi, out.certificate, FEAS_TOL)[0]
+    if out.witness is not None:
+        assert validate_witness(phi, pre, out.c_lo, out.witness.kernel, FEAS_TOL) is not None
+
+
+@SMALL
+@given(seeds, sizes, st.sampled_from(PREORDERINGS), scales, st.floats(0.5, 1.5),
+       st.floats(1e-3, 0.5))
+def test_feasibility_is_monotone_in_c(seed, n, pre, scale, at, up):
+    # D_lam o S_lam = J: a certificate at c plus (c'^2 - c^2) S_lam is one at c'
+    phi = _sample(seed, n, pre.d, scale)
+    c = at * phi.sup_norm()
+    out = agler_decompose(phi, pre, c)
+    if out.certificate is not None:
+        assert validate_certificate(phi, pre, c, out.certificate, FEAS_TOL)[0]
+    if out.witness is not None:
+        assert validate_witness(phi, pre, c, out.witness.kernel, FEAS_TOL) is not None
+    if out.feasible:
+        assert agler_decompose(phi, pre, c * (1 + up)).feasible
+
+
+@SMALL
+@given(seeds, sizes, st.sampled_from([(0, 1), (0, 2), (1, 2)]), scales)
+def test_ample_lower_end_below_nearly_ample_upper_end(seed, n, drop, scale):
+    # D_lam o S_{(1,1,1)-lam} = D_{(1,1,1)} turns a nearly-ample certificate at c
+    # into an ample one at c, so no ample witness lives above a nearly-ample c_hi
+    phi = _sample(seed, n, 3, scale)
+    ample = schur_agler_norm(phi, standard_ample(3), tol=1e-4)
+    nearly = schur_agler_norm(phi, standard_nearly_ample(3, *drop), tol=1e-4)
+    assert ample.c_lo <= nearly.c_hi

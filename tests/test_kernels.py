@@ -24,6 +24,13 @@ class TestPointSample:
         with pytest.raises(ValueError, match="duplicate"):
             PointSample(np.array([[0.5, 0.2], [0.5, 0.2]], dtype=complex))
 
+    def test_duplicate_message_names_first_pair(self):
+        # pairs (0, 3) and (1, 2) coincide; i runs first, so (0, 3) is named
+        a, b = [0.1, 0.2j], [0.3, -0.4 + 1e-13j]
+        with pytest.raises(ValueError, match=r"^duplicate points at indices 0, 3: "
+                                             "test functions separate points$"):
+            PointSample(np.array([a, b, [0.3, -0.4], a], dtype=complex))
+
     def test_margin(self):
         s = PointSample(np.array([[0.25 + 0j], [0.5 + 0j]]))
         assert s.margin == pytest.approx(0.5)

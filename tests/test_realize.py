@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from aglerlab.kernels import HermitianKernel, PointSample, defect_factor, ones_kernel
-from aglerlab.preorder import Preordering, classical, standard_ample, unit
+from aglerlab.opmodel import kv_polynomial
+from aglerlab.preorder import (Preordering, classical, standard_ample, standard_nearly_ample,
+                               unit)
 from aglerlab.realize import (Colligation, FunctionSample, SolverParams,
                               agler_decompose, ample_membership, eval_transfer,
                               eval_transfer_sample, lurking_isometry,
@@ -98,6 +100,29 @@ class TestDecompose:
         assert out.feasible
         ok, _, _ = validate_certificate(phi, pre, 1.0, out.certificate, 1e-8)
         assert ok
+
+    @pytest.mark.parametrize("r", [0.99, 0.999])
+    @pytest.mark.parametrize("drop", [(0, 1), (0, 2), (1, 2)])
+    def test_near_torus_below_sup_is_separated(self, r, drop):
+        # phi = p_KV/5 on samples running up to its peak points, at c = 0.97
+        # below sup|phi| = r^2, where the defect factors nearly vanish; the
+        # dual iterate must stay bounded and still separate
+        p = kv_polynomial()
+        theta = RNG(103).uniform(0, 2 * np.pi, 3)
+        pts = r * np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], np.exp(1j * theta)])
+        vals = [sum(coef[0, 0] * np.prod(z ** np.array(lam)) for lam, coef in p.coeffs.items())
+                for z in pts]
+        phi = FunctionSample(PointSample(pts), np.array(vals) / 5)
+        pre = standard_nearly_ample(3, *drop)
+        out = agler_decompose(phi, pre, 0.97, SolverParams(max_iter=30_000, stall_rtol=1e-9))
+        assert out.status == "infeasible"
+        assert validate_witness(phi, pre, 0.97, out.witness.kernel, 1e-8) is not None
+
+    def test_size_limit_named(self):
+        # the interior-point Newton system is dense in (N*m)^2 unknowns
+        phi, _ = random_transfer_sample(RNG(24), 33, 2)
+        with pytest.raises(ValueError, match="MAX_INTERIOR_DIM"):
+            agler_decompose(phi, classical(2), 1.0)
 
     def test_rejects_multiplicities(self):
         rng = RNG(6)
