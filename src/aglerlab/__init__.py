@@ -1,6 +1,14 @@
 """Numerical workbench for Schur-Agler classes defined by test functions
 and preorderings on finite point samples."""
 
+import os
+
+# BLAS reads its thread count once, when numpy loads: cap it before any submodule import
+if os.environ.get("AGLER_LAB_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["AGLER_LAB_THREADS"])
+
 from .preorder import (Preordering, classify, classical, maximal_closure,
                        minimal_reduction, parity_split, standard_ample,
                        standard_nearly_ample)

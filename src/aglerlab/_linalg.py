@@ -57,9 +57,3 @@ def polar_isometry(M: np.ndarray) -> np.ndarray:
     """Closest matrix with orthonormal columns (polar factor)."""
     U, _, Vh = np.linalg.svd(M, full_matrices=False)
     return U @ Vh
-
-
-def numerical_rank(s: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    if s.size == 0:
-        return 0
-    return int((s > tol * max(s.max(), 1e-300)).sum())

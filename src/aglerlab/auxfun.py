@@ -59,16 +59,18 @@ class PsiRows:
         return float(np.abs(lhs - rhs).max())
 
 
-def psi_rows(sample: PointSample, lam: MultiIndex) -> PsiRows:
+def _sample_lambda(sample: PointSample, lam: MultiIndex) -> MultiIndex:
     lam = tuple(int(v) for v in lam)
     if len(lam) != sample.d:
         raise ValueError(f"multi-index dimension {len(lam)} != sample dimension {sample.d}")
+    return lam
+
+
+def psi_rows(sample: PointSample, lam: MultiIndex) -> PsiRows:
+    lam = _sample_lambda(sample, lam)
     even, odd = parity_split(lam)
-    plus = np.array([[np.prod(sample.points[x] ** np.array(q)) for q in even]
-                     for x in range(sample.n_points)])
-    minus = np.array([[np.prod(sample.points[x] ** np.array(q)) for q in odd]
-                      for x in range(sample.n_points)])
-    return PsiRows(sample, lam, tuple(even), tuple(odd), plus, minus)
+    plus, minus = zip(*(monomial_rows_at(point, lam) for point in sample.points))
+    return PsiRows(sample, lam, tuple(even), tuple(odd), np.array(plus), np.array(minus))
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,9 @@ class AuxFunctionSample:
 
 def aux_function(sample: PointSample, lam: MultiIndex) -> AuxFunctionSample:
     """Raw sigma_lam: psi^+ sigma = psi^- holds exactly, norm |psi^-|/|psi^+| < 1."""
-    rows = psi_rows(sample, lam)
-    N, n = rows.plus.shape
-    sig = np.zeros((N, n, n), dtype=complex)
-    for x in range(N):
-        sig[x] = np.outer(rows.plus[x].conj(), rows.minus[x]) / (np.linalg.norm(rows.plus[x]) ** 2)
-    return AuxFunctionSample(sample, rows.lam, sig, "raw")
+    lam = _sample_lambda(sample, lam)
+    sig = np.array([sigma_at(point, lam) for point in sample.points])
+    return AuxFunctionSample(sample, lam, sig, "raw")
 
 
 def verify_defect_identity(sample: PointSample, lam: MultiIndex,

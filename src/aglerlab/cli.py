@@ -1,29 +1,19 @@
 """Batch front end: JSON problems in, machine-readable reports out.
 
 Exit codes: 0 success, 2 infeasible with witness, 3 unresolved, 1 usage or
-input errors.  Heavy imports happen after the thread cap is applied so
-AGLER_LAB_THREADS can rein in the BLAS pool.
+input errors.  AGLER_LAB_THREADS is applied when the package is imported,
+before numpy loads.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNRESOLVED = 3
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("AGLER_LAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-iter", type=int, default=None,
                         help="Newton-step cap for the interior-point solver")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports; used by randomized verifiers")
+                        help="seed echoed in reports; no command is randomized")
     common.add_argument("--quiet", action="store_true", help="suppress progress notes")
 
     parser = argparse.ArgumentParser(
@@ -91,13 +81,11 @@ def _solver_params(doc: dict, args):
         params.feas_tol = args.feas_tol
     if args.max_iter is not None:
         params.max_iter = args.max_iter
-    params.seed = args.seed
     return params
 
 
-def _solver_echo(params) -> dict:
-    return {"feas_tol": params.feas_tol, "max_iter": params.max_iter,
-            "seed": params.seed}
+def _solver_echo(params, args) -> dict:
+    return {"feas_tol": params.feas_tol, "max_iter": params.max_iter, "seed": args.seed}
 
 
 def _emit(args, body: dict) -> None:
@@ -205,7 +193,7 @@ def cmd_decompose(doc, args) -> int:
     params = _solver_params(doc, args)
     result = agler_decompose(phi, pre, c, params)
     _revalidate_result(result, phi, pre, c, params)
-    body = {"command": "decompose", "c": c, "solver": _solver_echo(params)}
+    body = {"command": "decompose", "c": c, "solver": _solver_echo(params, args)}
     body.update(result_to_json(result))
     _emit(args, body)
     return _status_exit(result.status)
@@ -222,7 +210,7 @@ def cmd_realize(doc, args) -> int:
     params = _solver_params(doc, args)
     result = agler_decompose(phi, pre, c, params)
     _revalidate_result(result, phi, pre, c, params)
-    body = {"command": "realize", "c": c, "solver": _solver_echo(params)}
+    body = {"command": "realize", "c": c, "solver": _solver_echo(params, args)}
     body.update(result_to_json(result))
     if result.feasible:
         col = lurking_isometry(result.certificate, phi, params.feas_tol)
@@ -263,7 +251,7 @@ def cmd_norm(doc, args) -> int:
     params = _solver_params(doc, args)
     tol = float(doc.get("tol", 1e-6))
     result = schur_agler_norm(phi, pre, tol, params)
-    body = {"command": "norm", "solver": _solver_echo(params),
+    body = {"command": "norm", "solver": _solver_echo(params, args),
             "c_lo": result.c_lo, "c_hi": result.c_hi,
             "resolved": result.resolved,
             "sup_norm": phi.sup_norm(),
@@ -347,7 +335,7 @@ def cmd_pick(doc, args) -> int:
     problem = PickProblem(nodes, a, b, pre)
     params = _solver_params(doc, args)
     result = pick_feasible(problem, params)
-    body = {"command": "pick", "solver": _solver_echo(params)}
+    body = {"command": "pick", "solver": _solver_echo(params, args)}
     body.update(result_to_json(result))
     if result.feasible:
         sol = pick_solve(problem, result.certificate, params.feas_tol)
@@ -401,7 +389,6 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     from .serialize import FormatError

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, hermitize, psd_clip
+from ._linalg import DEFAULT_TOL, hermitize
 from .preorder import MultiIndex, Preordering, is_zero_one, minimal_reduction
 
 DUPLICATE_TOL = 1e-12
@@ -266,8 +266,3 @@ def kolmogorov(K: HermitianKernel, tol: float = DEFAULT_TOL) -> KolmogorovFactor
     N, m = K.n_points, K.block_dim
     gammas = G.reshape(N, m, rank)
     return KolmogorovFactor(K.sample, rank, gammas)
-
-
-def nearest_psd(K: HermitianKernel) -> HermitianKernel:
-    """Eigenvalue-clipped PSD projection of a Hermitian kernel."""
-    return HermitianKernel.from_assembled(K.sample, psd_clip(K.assembled()))

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, min_eig, polar_isometry
+from ._linalg import DEFAULT_TOL, min_eig
 from .auxfun import AuxFunctionSample, monomial_rows_at
-from .kernels import PointSample, kolmogorov
+from .kernels import PointSample
 from .preorder import MultiIndex, Preordering, classify, weight
 from .realize import (AglerCertificate, Colligation, DecomposeResult, SolverParams,
-                      _ample_shortcut, _solve_target, eval_transfer)
+                      decide_target, eval_transfer, lurking_colligation)
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,11 @@ def pick_feasible(problem: PickProblem,
                   params: SolverParams | None = None) -> DecomposeResult:
     """Certificate or verified witness for (a a^* - b b^*) positivity.
 
-    Ample preorderings reduce to a single eigenvalue test against the
-    Szego kernel; otherwise the interior-point solver decides the Pick
-    target in place of c^2 - phi phi^*.
+    The realization solver's decision on the Pick target in place of
+    c^2 - phi phi^*: the Szego eigenvalue test on ample preorderings, the
+    interior-point solver otherwise.
     """
-    params = params or SolverParams()
-    cls = classify(problem.preordering)
-    if cls.is_ample and not params.force_iterative:
-        return _ample_shortcut(problem.nodes, problem.preordering, problem.target_blocks(), 1.0,
-                               params)
-    return _solve_target(problem.nodes, problem.preordering, problem.target_blocks(), 1.0,
+    return decide_target(problem.nodes, problem.preordering, problem.target_blocks(), 1.0,
                          params)
 
 
@@ -111,61 +106,13 @@ class PickSolution:
 
 def pick_solve(problem: PickProblem, cert: AglerCertificate,
                feas_tol: float = 1e-8, rank_tol: float = DEFAULT_TOL) -> PickSolution:
-    """Lurking isometry on the Pick defect identity.
-
-    From a a^* - b b^* = sum Gamma_lam * defect_lam, the vector families
-    built on (gamma (x) psi^-, a^*) and (gamma (x) psi^+, b^*) have equal
-    Gram matrices, so a unitary on state (+) C^p maps one to the other; its
-    transfer function is the p x p contractive multiplier W with b = a W
-    at every node.
-    """
+    """Contractive multiplier W with b = a W at every node, by the lurking
+    isometry on a a^* - b b^* = sum Gamma_lam * defect_lam, and the worst
+    node residual |a W - b|."""
     sample = problem.nodes
-    N, m, p = sample.n_points, problem.m, problem.p
-    lams = cert.lambdas()
-    gammas, mults, ns = {}, {}, {}
-    for lam in lams:
-        fac = kolmogorov(cert.gammas[lam], rank_tol)
-        gammas[lam] = fac.gammas
-        mults[lam] = fac.rank
-        ns[lam] = 2 ** (weight(lam) - 1)
-    E = sum(mults[lam] * ns[lam] for lam in lams)
-
-    M_minus = np.zeros((E + p, N * m), dtype=complex)
-    M_plus = np.zeros((E + p, N * m), dtype=complex)
-    for x in range(N):
-        cols = slice(x * m, (x + 1) * m)
-        off = 0
-        for lam in lams:
-            pr, mr = monomial_rows_at(sample.points[x], lam)
-            g = gammas[lam][x]  # (m, r)
-            r = mults[lam]
-            if r:
-                M_plus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, pr.conj()[:, None])
-                M_minus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, mr.conj()[:, None])
-            off += r * ns[lam]
-        M_minus[E:, cols] = problem.a[x].conj().T
-        M_plus[E:, cols] = problem.b[x].conj().T
-
-    gram_err = np.abs(M_plus.conj().T @ M_plus - M_minus.conj().T @ M_minus).max()
-    scale = max(np.abs(M_minus).max() ** 2, 1.0)
-    if gram_err > 100 * feas_tol * scale:
-        raise ValueError(f"certificate rejected: Gram mismatch {gram_err:.3e}")
-
-    U_, s_, Vh_ = np.linalg.svd(M_minus)
-    rank = int((s_ > rank_tol * max(s_.max(initial=0.0), 1e-300)).sum())
-    Um, Um_perp = U_[:, :rank], U_[:, rank:]
-    pinv = Vh_[:rank].conj().T @ np.diag(1 / s_[:rank]) @ Um.conj().T
-    images = polar_isometry(M_plus @ pinv @ Um)
-    comp = np.eye(E + p) - images @ images.conj().T
-    Uc, _, _ = np.linalg.svd(comp)
-    images_perp = Uc[:, :E + p - rank]
-    U_hat = np.hstack([images, images_perp]) @ np.hstack([Um, Um_perp]).conj().T
-    U = U_hat.conj().T
-
-    partition = tuple((lam, mults[lam]) for lam in lams if mults[lam])
-    col = Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
+    col = lurking_colligation(sample, problem.a, problem.b, cert, feas_tol, rank_tol)
     worst = 0.0
-    for x in range(N):
+    for x in range(sample.n_points):
         W = eval_transfer(col, sample.points[x])
         worst = max(worst, float(np.abs(problem.a[x] @ W - problem.b[x]).max()))
     return PickSolution(col, worst)

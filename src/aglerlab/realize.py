@@ -67,7 +67,6 @@ class SolverParams:
     stall_window: int = 5
     stall_rtol: float = 1e-12
     force_iterative: bool = False
-    seed: int = 0  # recorded for reproducibility of callers' instance generation
 
 
 @dataclass(frozen=True)
@@ -511,6 +510,20 @@ def _ample_shortcut(sample: PointSample, preordering: Preordering, R_blocks: np.
     return DecomposeResult("infeasible", None, witness, float(-w.min()), 0)
 
 
+def decide_target(sample: PointSample, preordering: Preordering, R_blocks: np.ndarray,
+                  c: float, params: SolverParams | None = None) -> DecomposeResult:
+    """Decide R = sum_lam D_lam o Gamma_lam with every Gamma_lam PSD.
+
+    Ample preorderings take the Szego closed form unless force_iterative is
+    set; everything else is one interior-point solve.  c is recorded on the
+    certificate.
+    """
+    params = params or SolverParams()
+    if classify(preordering).is_ample and not params.force_iterative:
+        return _ample_shortcut(sample, preordering, R_blocks, c, params)
+    return _solve_target(sample, preordering, R_blocks, c, params)
+
+
 def agler_decompose(phi: FunctionSample, preordering: Preordering, c: float = 1.0,
                     params: SolverParams | None = None) -> DecomposeResult:
     """Find PSD kernels with sum Gamma_lam * defect_lam = c^2 - phi phi^*.
@@ -518,13 +531,9 @@ def agler_decompose(phi: FunctionSample, preordering: Preordering, c: float = 1.
     Returns a three-way status; infeasibility always carries a re-verified
     separating kernel, and unresolved is never silently relabeled.
     """
-    params = params or SolverParams()
     if phi.m_out != phi.m_in:
         raise ValueError("decomposition targets square matrix values")
-    cls = classify(preordering)
-    if cls.is_ample and not params.force_iterative:
-        return _ample_shortcut(phi.sample, preordering, _target_blocks(phi, c), c, params)
-    return _solve_target(phi.sample, preordering, _target_blocks(phi, c), c, params)
+    return decide_target(phi.sample, preordering, _target_blocks(phi, c), c, params)
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +633,20 @@ def eval_transfer_sample(col: Colligation, sample: PointSample) -> FunctionSampl
     return FunctionSample(sample, vals)
 
 
-def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
-                     feas_tol: float = 1e-8,
-                     rank_tol: float = DEFAULT_TOL) -> Colligation:
-    """Colligation from a decomposition certificate via the lurking isometry.
+def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,
+                        cert: AglerCertificate, feas_tol: float = 1e-8,
+                        rank_tol: float = DEFAULT_TOL, c: float = 1.0) -> Colligation:
+    """Colligation with b(x) = a(x) W(x) at the nodes, via the lurking isometry.
 
-    Stacks the certificate's Kolmogorov factors against the even/odd rows,
-    checks the Gram identity between the two vector families, and completes
-    the partial isometry to a unitary by pairing orthonormal bases of the
-    complements in SVD order.
+    cert decomposes c^2 (a a^* - b b^*) = sum D_lam o Gamma_lam; a and b are
+    (N, m, p) node data.  With gamma the certificate's Kolmogorov factors
+    divided by c, the vector families built on (gamma (x) psi^-, a^*) and
+    (gamma (x) psi^+, b^*) have equal Gram matrices, which is checked; the
+    partial isometry between them is completed to a unitary on state (+) C^p
+    by pairing orthonormal bases of the complements in SVD order.  Its
+    transfer function is the p x p contractive multiplier W.
     """
-    # c^2 - phi phi^* = sum D o Gamma is 1 - (phi/c)(phi/c)^* = sum D o (Gamma/c^2)
-    c = cert.c if cert.c != 0 and abs(cert.c - 1.0) > 1e-12 else 1.0
-    phi = FunctionSample(phi.sample, phi.values / c)
-    sample = phi.sample
-    N, m = sample.n_points, phi.m_out
+    N, m, p = a.shape
     lams = cert.lambdas()
     gammas, mults, ns = {}, {}, {}
     for lam in lams:
@@ -648,12 +656,11 @@ def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
         ns[lam] = 2 ** (weight(lam) - 1)
     E = sum(mults[lam] * ns[lam] for lam in lams)
 
-    M_minus = np.zeros((E + m, N * m), dtype=complex)
-    M_plus = np.zeros((E + m, N * m), dtype=complex)
+    M_minus = np.zeros((E + p, N * m), dtype=complex)
+    M_plus = np.zeros((E + p, N * m), dtype=complex)
     for x in range(N):
-        plus_rows, minus_rows = {}, {}
-        off = 0
         cols = slice(x * m, (x + 1) * m)
+        off = 0
         for lam in lams:
             pr, mr = monomial_rows_at(sample.points[x], lam)
             g = gammas[lam][x]  # (m, r)
@@ -662,8 +669,8 @@ def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
                 M_plus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, pr.conj()[:, None])
                 M_minus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, mr.conj()[:, None])
             off += r * ns[lam]
-        M_minus[E:, cols] = np.eye(m)
-        M_plus[E:, cols] = phi.values[x].conj().T
+        M_minus[E:, cols] = a[x].conj().T
+        M_plus[E:, cols] = b[x].conj().T
 
     gram_err = np.abs(M_plus.conj().T @ M_plus - M_minus.conj().T @ M_minus).max()
     scale = max(np.abs(M_minus).max() ** 2, 1.0)
@@ -672,19 +679,29 @@ def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
 
     U_, s_, Vh_ = np.linalg.svd(M_minus)
     rank = int((s_ > rank_tol * max(s_.max(initial=0.0), 1e-300)).sum())
-    Um = U_[:, :rank]
-    Um_perp = U_[:, rank:]
+    Um, Um_perp = U_[:, :rank], U_[:, rank:]
     pinv = Vh_[:rank].conj().T @ np.diag(1 / s_[:rank]) @ Um.conj().T
     images = polar_isometry(M_plus @ pinv @ Um)
-    comp = np.eye(E + m) - images @ images.conj().T
-    Uc, sc, _ = np.linalg.svd(comp)
-    images_perp = Uc[:, :E + m - rank]
+    comp = np.eye(E + p) - images @ images.conj().T
+    Uc, _, _ = np.linalg.svd(comp)
+    images_perp = Uc[:, :E + p - rank]
     U_hat = np.hstack([images, images_perp]) @ np.hstack([Um, Um_perp]).conj().T
     U = U_hat.conj().T
 
     partition = tuple((lam, mults[lam]) for lam in lams if mults[lam])
-    col = Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
-    return col
+    return Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
+
+
+def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
+                     feas_tol: float = 1e-8,
+                     rank_tol: float = DEFAULT_TOL) -> Colligation:
+    """Colligation whose transfer function is phi / c, from a decomposition
+    certificate at c: the Pick construction with a = 1 and b = phi / c."""
+    # c^2 - phi phi^* = sum D o Gamma is 1 - (phi/c)(phi/c)^* = sum D o (Gamma/c^2)
+    c = cert.c if cert.c != 0 and abs(cert.c - 1.0) > 1e-12 else 1.0
+    identity = np.tile(np.eye(phi.m_out), (phi.sample.n_points, 1, 1))
+    return lurking_colligation(phi.sample, identity, phi.values / c, cert, feas_tol,
+                               rank_tol, c)
 
 
 def transfer_compose(c1: Colligation, c2: Colligation, mode: str = "product",

@@ -288,6 +288,9 @@ def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
     for key, val in doc.items():
         if key not in known:
             raise FormatError(f"{path}.{key}", "unknown solver parameter")
+        if key == "seed":
+            int(val)  # still accepted as an integer, with no effect: reports echo --seed
+            continue
         setattr(params, key, type(getattr(params, key))(val))
     if params.feas_tol <= 0:
         raise FormatError(f"{path}.feas_tol", "must be positive")

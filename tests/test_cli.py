@@ -1,7 +1,9 @@
 """Batch front end: subcommands, exit codes, determinism, diagnostics."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from aglerlab.sampling import random_points, random_transfer_sample
 from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
                                 kernel_to_json, points_to_json)
 from aglerlab.kernels import ones_kernel, szego_kernel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, tmp_path, payload=None):
@@ -161,16 +165,23 @@ class TestAuxCommand:
 
 
 class TestPickCommand:
+    payload = {
+        "points": [[[0.0, 0.0]], [[0.5, 0.0]]],
+        "a": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]],
+        "b": [[[[0.0, 0.0]]], [[[0.5, 0.0]]]],
+        "preordering": [[1]],
+    }
+
     def test_two_node(self, tmp_path):
-        payload = {
-            "points": [[[0.0, 0.0]], [[0.5, 0.0]]],
-            "a": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]],
-            "b": [[[[0.0, 0.0]]], [[[0.5, 0.0]]]],
-            "preordering": [[1]],
-        }
-        code, doc = run_cli(["pick"], tmp_path, payload)
+        code, doc = run_cli(["pick"], tmp_path, self.payload)
         assert code == 0
         assert doc["node_residual"] < 1e-7
+
+    def test_solver_seed_accepted_and_report_echoes_flag(self, tmp_path):
+        payload = {**self.payload, "solver": {"seed": 5}}
+        code, doc = run_cli(["pick", "--seed", "3"], tmp_path, payload)
+        assert code == 0
+        assert doc["solver"]["seed"] == 3
 
 
 class TestEvalVnBrehmer:
@@ -228,6 +239,31 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["schema"] == "agler-lab/1"
+
+
+def test_thread_cap_set_before_numpy_loads():
+    # the child records OPENBLAS_NUM_THREADS at the moment numpy is first imported
+    child = """
+import builtins, os, sys
+seen = []
+real_import = builtins.__import__
+def hook(name, *args, **kwargs):
+    if name.split(".")[0] == "numpy" and "numpy" not in sys.modules and not seen:
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+    return real_import(name, *args, **kwargs)
+builtins.__import__ = hook
+import aglerlab.cli
+print(repr(seen[0]) if seen else "numpy was not imported")
+"""
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["AGLER_LAB_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "'1'"
 
 
 def test_aux_verify_mode(tmp_path):

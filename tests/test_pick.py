@@ -153,6 +153,19 @@ class TestInvariants:
         sol = pick_solve(problem, out.certificate)
         assert sol.node_residual < 1e-7
 
+    @pytest.mark.parametrize("pre", [classical(2), standard_ample(2)], ids=["classical", "ample"])
+    def test_realize_is_pick_with_identity(self, pre):
+        phi, _ = random_transfer_sample(RNG(10), 4, 2)
+        phi = FunctionSample(phi.sample, 0.9 * phi.values)
+        out = agler_decompose(phi, pre, 1.0)
+        assert out.feasible
+        col = lurking_isometry(out.certificate, phi)
+        problem = PickProblem(phi.sample, np.ones((4, 1, 1)), phi.values, pre)
+        pick = pick_solve(problem, out.certificate).colligation
+        for block in "ABCD":
+            assert np.array_equal(getattr(col, block), getattr(pick, block)), block
+        assert col.partition == pick.partition
+
     def test_node_monotonicity(self):
         rng = RNG(9)
         for _ in range(20):

@@ -130,6 +130,11 @@ class TestSolverParams:
         p = solver_params_from_json({"feas_tol": 1e-6, "max_iter": 1000})
         assert p.feas_tol == 1e-6 and p.max_iter == 1000
 
+    def test_seed_accepted_without_effect(self):
+        assert solver_params_from_json({"seed": 5}) == solver_params_from_json(None)
+        with pytest.raises(ValueError):
+            solver_params_from_json({"seed": "five"})
+
     def test_unknown_key(self):
         with pytest.raises(FormatError, match="unknown solver parameter"):
             solver_params_from_json({"tol": 1.0})
