@@ -791,8 +791,8 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
         hi = _certificate_end(phi, preordering, upper[0],
                               lambda c: ws.certificate(upper, c * c, c), params)
         if hi is None:  # the certificate on one lambda alone always exists
-            hi = _certificate_end(phi, preordering, _szego_top(phi, lams[0])[0],
-                                  szego_cert(lams[0]), params)
+            hi = _first(_certificate_end(phi, preordering, _szego_top(phi, lam)[0],
+                                         szego_cert(lam), params) for lam in lams)
         lo = lower[1] is not None and _witness_end(phi, preordering, ws.witness_kernel(lower),
                                                    params, sup)
     c_hi, cert = hi or (np.inf, None)

@@ -70,6 +70,10 @@ def _emit(obj, out: list[str]) -> None:
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        text = _float_array_text(obj)
+        if text is not None:
+            out.append(text)
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -78,6 +82,28 @@ def _emit(obj, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_array_text(obj) -> str | None:
+    """A non-empty rectangular nest of finite Python floats in one `%` call.
+
+    '%.17g' % x equals format(x, '.17g') for every finite double, so the text
+    is what the per-element path would print; anything else (ragged lists,
+    ints, bools, strings, numpy scalars, NaN, inf) returns None and goes
+    through that path.  numpy reads a float ndarray inside the nest as nested
+    lists, so such a document prints here where that path would reject it.
+    """
+    try:
+        leaves = np.array(obj, dtype=object)
+    except ValueError:
+        return None
+    flat = leaves.ravel().tolist()
+    if set(map(type, flat)) != {float} or not np.isfinite(flat).all():
+        return None
+    template = "%.17g"
+    for n in reversed(leaves.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % tuple(flat)
 
 
 def write_atomic(path: str, doc) -> None:
@@ -98,15 +124,10 @@ def write_atomic(path: str, doc) -> None:
 # complex arrays
 
 
-def complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def array_to_json(arr: np.ndarray):
-    arr = np.asarray(arr)
-    if arr.ndim == 0:
-        return complex_to_json(complex(arr))
-    return [array_to_json(sub) for sub in arr]
+    """A complex array as nested lists ending in [re, im] pairs of Python floats."""
+    z = np.asarray(arr, dtype=complex)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def json_to_array(doc, path: str = "$") -> np.ndarray:
@@ -277,20 +298,30 @@ def json_to_tuple(doc, path: str = "$"):
         raise FormatError(f"{path}.matrices", str(exc)) from None
 
 
+_SOLVER_TYPES = {  # JSON types per field; a bool is never taken for a number
+    "feas_tol": ((int, float), "a number"),
+    "stall_rtol": ((int, float), "a number"),
+    "max_iter": ((int,), "an integer"),
+    "stall_window": ((int,), "an integer"),
+    "force_iterative": ((bool,), "a boolean"),
+}
+
+
 def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
     params = SolverParams()
     if doc is None:
         return params
     if not isinstance(doc, dict):
         raise FormatError(path, "solver must be an object")
-    known = {"feas_tol", "max_iter", "stall_window", "stall_rtol", "seed",
-             "force_iterative"}
     for key, val in doc.items():
-        if key not in known:
-            raise FormatError(f"{path}.{key}", "unknown solver parameter")
         if key == "seed":
             int(val)  # still accepted as an integer, with no effect: reports echo --seed
             continue
+        if key not in _SOLVER_TYPES:
+            raise FormatError(f"{path}.{key}", "unknown solver parameter")
+        types, name = _SOLVER_TYPES[key]
+        if not isinstance(val, types) or (bool not in types and isinstance(val, bool)):
+            raise FormatError(f"{path}.{key}", f"must be {name}")
         setattr(params, key, type(getattr(params, key))(val))
     if params.feas_tol <= 0:
         raise FormatError(f"{path}.feas_tol", "must be positive")

@@ -1,11 +1,13 @@
 """Smoke tests of the benchmark's instruments.
 
 Loads perfbench/workloads.py as it stands and runs one op of each
-norm-bracket kind through the workload's own `run` and `check`; loads
+norm-bracket kind, and the small cli-batch ops twice each, through the
+workload's own `run` and `check`; loads
 perfbench/tracer.py and checks that every function it wraps still exists.
 """
 import importlib.util
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +44,17 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert aglerlab.realize.lurking_isometry is original
+
+
+def test_cli_batch_gate_small_ops_twice(tmp_path):
+    # the gate re-validates each parsed certificate or witness and compares
+    # every report with the first one written for the same document
+    workload = _load("workloads").CliBatch()
+    ops = workload.setup(101, tmp_path)
+    labels = ("decompose-*-N16m1", "realize-N16m2", "pick-N16m2", "norm-N16m1", "eval")
+    chosen = [op for op in ops if any(fnmatch(op.label, pat) for pat in labels)]
+    assert len(chosen) == 8
+    for _ in range(2):
+        for op in chosen:
+            outcome = workload.check(op, workload.run(op))
+            assert outcome.error is None, op.label

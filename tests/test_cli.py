@@ -102,6 +102,17 @@ class TestNormCommand:
         assert doc["c_hi"] == pytest.approx(0.5, abs=1e-5)
 
 
+def test_decompose_report_echoes_every_solver_field(tmp_path):
+    rng = np.random.default_rng(6)
+    payload = {**coordinate_fixture(rng), "solver": {"force_iterative": True}}
+    code, doc = run_cli(["decompose"], tmp_path, payload)
+    assert code == 0
+    assert doc["solver"] == {"feas_tol": 1e-8, "max_iter": 200_000, "seed": 0,
+                             "stall_window": 5, "stall_rtol": 1e-12,
+                             "force_iterative": True}
+    assert '"force_iterative":true}' in (tmp_path / "out.json").read_text()
+
+
 class TestExampleCommand:
     def test_kv(self, tmp_path):
         code, doc = run_cli(["example", "kv"], tmp_path)

@@ -317,6 +317,16 @@ class TestNorm:
         if not out.resolved:
             assert any(st == "unresolved" for _, st in out.evaluations)
 
+    def test_fallback_certificate_tries_every_lambda(self):
+        # the solver's certificate does not validate here, nor does the one on
+        # (0,1) alone (its Szego matrix has condition 2.7e13); the one on (1,0)
+        # does, so c_hi is finite
+        phi, _ = random_transfer_sample(RNG([201, 52]), 8, 2)
+        out = schur_agler_norm(phi, classical(2), tol=1e-4,
+                               params=SolverParams(max_iter=3000, stall_rtol=1e-9))
+        assert np.isfinite(out.c_hi) and out.certificate is not None
+        assert validate_certificate(phi, classical(2), out.c_hi, out.certificate, 1e-8)[0]
+
 
 class TestAmpleConsistency:
     def test_iterative_agrees_with_membership_near_boundary(self):

@@ -3,12 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from aglerlab.kernels import szego_kernel
 from aglerlab.preorder import Preordering, classical
 from aglerlab.realize import agler_decompose, lurking_isometry
 from aglerlab.sampling import random_points, random_transfer_sample
-from aglerlab.serialize import (FormatError, colligation_to_json, dumps,
+from aglerlab.serialize import (FormatError, array_to_json, colligation_to_json, dumps,
                                 json_to_array, json_to_colligation, json_to_kernel,
                                 json_to_points, json_to_preordering, kernel_to_json,
                                 lambda_key, parse_lambda_key, preordering_to_json,
@@ -143,6 +145,28 @@ class TestSolverParams:
         with pytest.raises(FormatError, match="positive"):
             solver_params_from_json({"feas_tol": 0.0})
 
+    def test_force_iterative_must_be_boolean(self):
+        assert solver_params_from_json({"force_iterative": True}).force_iterative is True
+        with pytest.raises(FormatError, match=r"\.force_iterative: must be a boolean"):
+            solver_params_from_json({"force_iterative": "false"})
+        with pytest.raises(FormatError, match=r"\.force_iterative"):
+            solver_params_from_json({"force_iterative": 1})
+
+    @pytest.mark.parametrize("key", ["max_iter", "stall_window"])
+    def test_counts_must_be_integers(self, key):
+        assert getattr(solver_params_from_json({key: 7}), key) == 7
+        for bad in (2.9, 3.0, True, "3"):
+            with pytest.raises(FormatError, match=rf"\.{key}: must be an integer"):
+                solver_params_from_json({key: bad})
+
+    @pytest.mark.parametrize("key", ["feas_tol", "stall_rtol"])
+    def test_tolerances_must_be_numbers(self, key):
+        assert getattr(solver_params_from_json({key: 1}), key) == 1.0
+        assert getattr(solver_params_from_json({key: 1e-6}), key) == 1e-6
+        for bad in (True, False, "1e-6", None):
+            with pytest.raises(FormatError, match=rf"\.{key}: must be a number"):
+                solver_params_from_json({key: bad})
+
 
 class TestAtomicWrite:
     def test_write_and_no_temp_left(self, tmp_path):
@@ -175,3 +199,134 @@ def test_certificate_roundtrip_revalidates():
     back = json_to_certificate(doc, 1.0)
     ok, resid, _ = validate_certificate(phi, classical(2), 1.0, back, 1e-7)
     assert ok and resid < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the array-at-once emitter against the per-element definitions it replaced
+
+
+def reference_dumps(doc) -> str:
+    out: list[str] = []
+    _reference_emit(doc, out)
+    return "".join(out)
+
+
+def _reference_emit(obj, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x:
+            raise ValueError("NaN is not serializable")
+        if x in (float("inf"), float("-inf")):
+            raise ValueError("infinity is not serializable")
+        out.append(format(x, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(k)))
+            out.append(":")
+            _reference_emit(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_emit(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_array_to_json(arr):
+    arr = np.asarray(arr)
+    if arr.ndim == 0:
+        z = complex(arr)
+        return [float(np.real(z)), float(np.imag(z))]
+    return [reference_array_to_json(sub) for sub in arr]
+
+
+def outcome(emit, doc):
+    """The text, or the type and message of the error, of emit(doc)."""
+    try:
+        return emit(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+EMIT = settings(max_examples=150, deadline=None, derandomize=True)
+MAX = np.finfo(float).max
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e17, -1e17,
+        9007199254740993.0, 12345678901234567.0, MAX, -MAX, np.nextafter(MAX, 0),
+        -np.nextafter(MAX, 0)]
+finite = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.floats(1e16, 1e17) | st.floats(-1e17, -1e16) | st.sampled_from(EDGE))
+shapes = array_shapes(min_dims=0, max_dims=5, min_side=0, max_side=3)
+
+
+def complex_arrays(parts=finite):
+    return arrays(complex, shapes, elements=st.builds(complex, parts, parts))
+
+
+scalars = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | finite
+           | st.text(max_size=4))
+documents = st.recursive(
+    scalars | complex_arrays().map(array_to_json),
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+@EMIT
+@given(complex_arrays())
+def test_fast_emitter_matches_reference_on_arrays(z):
+    doc = array_to_json(z)
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@EMIT
+@given(documents)
+def test_fast_emitter_matches_reference_on_documents(doc):
+    assert outcome(dumps, doc) == outcome(reference_dumps, doc)
+
+
+@EMIT
+@given(complex_arrays().filter(lambda z: z.size), st.data())
+def test_non_finite_raises_the_reference_error(z, data):
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    i = data.draw(st.integers(0, z.size - 1))
+    z.flat[i] = data.draw(st.sampled_from([complex(bad, 0.0), complex(0.0, bad)]))
+    doc = array_to_json(z)
+    expected = outcome(reference_dumps, doc)
+    assert isinstance(expected, tuple) and expected[0] is ValueError
+    assert outcome(dumps, doc) == expected
+    assert outcome(dumps, {"x": [doc, "s"]}) == expected
+
+
+@EMIT
+@given(st.one_of(
+    arrays(np.complex128, shapes, elements=st.builds(complex, st.floats(), st.floats())),
+    arrays(np.complex64, shapes,
+           elements=st.builds(complex, st.floats(width=32), st.floats(width=32))),
+    arrays(np.float64, shapes),
+    arrays(np.int64, shapes)))
+def test_array_to_json_matches_recursive_definition(arr):
+    # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
+    assert repr(array_to_json(arr)) == repr(reference_array_to_json(arr))
+
+
+def test_array_to_json_zero_dim():
+    for arr in (np.array(1 + 2j), np.array(-0.0), np.array(3), np.complex64(0.1 - 0.2j)):
+        assert repr(array_to_json(arr)) == repr(reference_array_to_json(arr))
+    assert array_to_json(np.array(3)) == [3.0, 0.0]
