@@ -23,19 +23,23 @@ from .kernels import HermitianKernel, PointSample, defect_factor, szego_factor
 from .preorder import MultiIndex, Preordering, classify, parity_split
 
 
-def monomial_rows_at(point: np.ndarray, lam: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
-    """psi^+ and psi^- rows at a single psi-value vector."""
+def monomial_rows(points: np.ndarray, lam: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+    """psi^+ and psi^- rows, (N, n) each, at every row of an (N, d) psi-value array."""
     even, odd = parity_split(lam)
-    point = np.asarray(point, dtype=complex)
-    plus = np.array([np.prod(point ** np.array(q)) for q in even])
-    minus = np.array([np.prod(point ** np.array(q)) for q in odd])
-    return plus, minus
+    points = np.asarray(points, dtype=complex)[:, None, :]
+    return (np.prod(points ** np.array(even), axis=2),
+            np.prod(points ** np.array(odd), axis=2))
 
 
-def sigma_at(point: np.ndarray, lam: MultiIndex) -> np.ndarray:
-    """Raw auxiliary function sigma_lam at one point (n x n, rank one)."""
-    plus, minus = monomial_rows_at(point, lam)
-    return np.outer(plus.conj(), minus) / (np.linalg.norm(plus) ** 2)
+def row_sqnorms(rows: np.ndarray) -> np.ndarray:
+    """|row|^2 per row, by the one-row norm: an axis= norm rounds differently."""
+    return np.array([np.linalg.norm(row) ** 2 for row in rows])
+
+
+def raw_sigmas(points: np.ndarray, lam: MultiIndex) -> np.ndarray:
+    """Raw sigma_lam at every row of an (N, d) psi-value array: (N, n, n), rank one."""
+    plus, minus = monomial_rows(points, lam)
+    return plus.conj()[:, :, None] * minus[:, None, :] / row_sqnorms(plus)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,7 @@ def _sample_lambda(sample: PointSample, lam: MultiIndex) -> MultiIndex:
 def psi_rows(sample: PointSample, lam: MultiIndex) -> PsiRows:
     lam = _sample_lambda(sample, lam)
     even, odd = parity_split(lam)
-    plus, minus = zip(*(monomial_rows_at(point, lam) for point in sample.points))
-    return PsiRows(sample, lam, tuple(even), tuple(odd), np.array(plus), np.array(minus))
+    return PsiRows(sample, lam, tuple(even), tuple(odd), *monomial_rows(sample.points, lam))
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,7 @@ class AuxFunctionSample:
 def aux_function(sample: PointSample, lam: MultiIndex) -> AuxFunctionSample:
     """Raw sigma_lam: psi^+ sigma = psi^- holds exactly, norm |psi^-|/|psi^+| < 1."""
     lam = _sample_lambda(sample, lam)
-    sig = np.array([sigma_at(point, lam) for point in sample.points])
-    return AuxFunctionSample(sample, lam, sig, "raw")
+    return AuxFunctionSample(sample, lam, raw_sigmas(sample.points, lam), "raw")
 
 
 def verify_defect_identity(sample: PointSample, lam: MultiIndex,

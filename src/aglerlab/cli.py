@@ -101,18 +101,29 @@ def _emit(args, body: dict) -> None:
         print(dumps(doc))
 
 
-def _revalidate_result(result, phi, preordering, c, params) -> None:
-    """Re-run the soundness checks before anything is written."""
-    from .realize import validate_certificate, validate_witness
+def _revalidate_result(result, sample, preordering, R, params) -> None:
+    """Re-run the soundness checks on target R before anything is written."""
+    from .realize import validate_certificate_target, validate_witness_target
     if result.certificate is not None:
-        ok, _, _ = validate_certificate(phi, preordering, c, result.certificate,
-                                        params.feas_tol)
+        ok, _, _ = validate_certificate_target(sample, preordering, R, result.certificate,
+                                               params.feas_tol)
         if not ok:
             raise ArithmeticError("certificate failed re-validation; refusing to emit")
     if result.witness is not None:
-        if validate_witness(phi, preordering, c, result.witness.kernel,
-                            params.feas_tol) is None:
+        if validate_witness_target(sample, preordering, R, result.witness.kernel,
+                                   params.feas_tol) is None:
             raise ArithmeticError("witness failed re-validation; refusing to emit")
+
+
+def _tuple_from(doc):
+    """The commuting tuple a document names (built-in) or spells out."""
+    from .opmodel import builtin_tuple
+    from .serialize import FormatError, json_to_tuple
+    if "name" in doc:
+        return builtin_tuple(doc["name"])
+    if "tuple" in doc:
+        return json_to_tuple(doc["tuple"], "$.tuple")
+    raise FormatError("$.tuple", "need a tuple or a built-in name")
 
 
 def _status_exit(status: str) -> int:
@@ -126,12 +137,13 @@ def _status_exit(status: str) -> int:
 
 def cmd_check_kernel(doc, args) -> int:
     from .kernels import is_admissible
-    from .serialize import FormatError, json_to_kernel, json_to_preordering, lambda_key
+    from .serialize import (FormatError, json_number, json_to_kernel, json_to_preordering,
+                            lambda_key)
     if "kernel" not in doc:
         raise FormatError("$.kernel", "missing field")
     K = json_to_kernel(doc["kernel"], "$.kernel")
     pre = json_to_preordering(doc.get("preordering"), "$.preordering")
-    tol = float(doc.get("tol", 1e-10))
+    tol = json_number(doc, "tol", 1e-10)
     rep = is_admissible(K, pre, tol)
     body = {
         "command": "check-kernel",
@@ -146,7 +158,6 @@ def cmd_check_kernel(doc, args) -> int:
 
 
 def cmd_aux(doc, args) -> int:
-    import numpy as np
     from .auxfun import aux_function, extend_aux_finite, verify_defect_identity
     from .serialize import (FormatError, array_to_json, json_to_kernel,
                             json_to_points, json_to_preordering)
@@ -158,16 +169,14 @@ def cmd_aux(doc, args) -> int:
     if mode == "raw":
         aux = aux_function(sample, lam)
         body = {"command": "aux", "mode": "raw", "lambda": list(lam), "n": aux.n,
-                "sigma": {str(x): array_to_json(aux.sigmas[x])
-                          for x in range(sample.n_points)},
+                "sigma": dict(enumerate(array_to_json(aux.sigmas))),
                 "max_norm": float(aux.norms().max())}
     elif mode == "extended":
         pre = json_to_preordering(doc.get("preordering"), "$.preordering")
         ext = extend_aux_finite(sample, lam, pre)
         body = {"command": "aux", "mode": "extended", "lambda": list(lam),
                 "n": ext.aux.n,
-                "sigma": {str(x): array_to_json(ext.aux.sigmas[x])
-                          for x in range(sample.n_points)},
+                "sigma": dict(enumerate(array_to_json(ext.aux.sigmas))),
                 "completion_norm": ext.completion_norm,
                 "identity_residual": ext.identity_residual,
                 "defect_min_eig": ext.defect_min_eig,
@@ -186,15 +195,15 @@ def cmd_aux(doc, args) -> int:
 
 
 def cmd_decompose(doc, args) -> int:
-    from .realize import agler_decompose
-    from .serialize import (json_to_function_sample, json_to_preordering,
+    from .realize import agler_decompose, target_blocks
+    from .serialize import (json_number, json_to_function_sample, json_to_preordering,
                             result_to_json)
     phi = json_to_function_sample(doc, "$")
     pre = json_to_preordering(doc.get("preordering"), "$.preordering")
-    c = float(doc.get("c", 1.0))
+    c = json_number(doc, "c", 1.0)
     params = _solver_params(doc, args)
     result = agler_decompose(phi, pre, c, params)
-    _revalidate_result(result, phi, pre, c, params)
+    _revalidate_result(result, phi.sample, pre, target_blocks(phi, c), params)
     body = {"command": "decompose", "c": c, "solver": _solver_echo(params, args)}
     body.update(result_to_json(result))
     _emit(args, body)
@@ -203,30 +212,28 @@ def cmd_decompose(doc, args) -> int:
 
 def cmd_realize(doc, args) -> int:
     import numpy as np
-    from .realize import agler_decompose, eval_transfer, lurking_isometry
-    from .serialize import (colligation_to_json, json_to_function_sample,
+    from .realize import agler_decompose, eval_transfer, lurking_isometry, target_blocks
+    from .serialize import (colligation_to_json, json_number, json_to_function_sample,
                             json_to_preordering, result_to_json)
     phi = json_to_function_sample(doc, "$")
     pre = json_to_preordering(doc.get("preordering"), "$.preordering")
-    c = float(doc.get("c", 1.0))
+    c = json_number(doc, "c", 1.0)
     params = _solver_params(doc, args)
     result = agler_decompose(phi, pre, c, params)
-    _revalidate_result(result, phi, pre, c, params)
+    _revalidate_result(result, phi.sample, pre, target_blocks(phi, c), params)
     body = {"command": "realize", "c": c, "solver": _solver_echo(params, args)}
     body.update(result_to_json(result))
     if result.feasible:
         col = lurking_isometry(result.certificate, phi, params.feas_tol)
-        worst = 0.0
-        for x in range(phi.sample.n_points):
-            W = eval_transfer(col, phi.sample.points[x])
-            worst = max(worst, float(np.abs(c * W - phi.values[x]).max()))
+        W = eval_transfer(col, phi.sample.points)
         body["colligation"] = colligation_to_json(col)
-        body["roundtrip_max_error"] = worst
+        body["roundtrip_max_error"] = float(np.abs(c * W - phi.values).max())
     _emit(args, body)
     return _status_exit(result.status)
 
 
 def cmd_eval(doc, args) -> int:
+    import math
     import numpy as np
     from .realize import eval_transfer
     from .serialize import FormatError, array_to_json, json_to_array, json_to_colligation
@@ -234,24 +241,23 @@ def cmd_eval(doc, args) -> int:
         raise FormatError("$.colligation", "missing field")
     col = json_to_colligation(doc["colligation"], "$.colligation")
     pts = json_to_array(doc.get("points"), "$.points")
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    mats = [eval_transfer(col, pts[i]) for i in range(pts.shape[0])]
+    W = eval_transfer(col, pts.reshape(pts.shape[0], math.prod(pts.shape[1:])))  # row per point
     body = {"command": "eval",
-            "values": [array_to_json(W) for W in mats],
-            "norms": [float(np.linalg.norm(W, 2)) for W in mats]}
+            "values": array_to_json(W),
+            "norms": np.linalg.norm(W, 2, axis=(1, 2)).tolist()}
     _emit(args, body)
     return EXIT_OK
 
 
 def cmd_norm(doc, args) -> int:
-    from .realize import agler_decompose, schur_agler_norm
-    from .serialize import (json_to_function_sample, json_to_preordering,
-                            kernel_to_json, certificate_to_json, result_to_json)
+    from .realize import agler_decompose, schur_agler_norm, target_blocks
+    from .serialize import (certificate_to_json, json_number, json_to_function_sample,
+                            json_to_preordering, kernel_to_json, result_to_json)
     phi = json_to_function_sample(doc, "$")
     pre = json_to_preordering(doc.get("preordering"), "$.preordering")
     params = _solver_params(doc, args)
-    tol = float(doc.get("tol", 1e-6))
+    tol = json_number(doc, "tol", 1e-6)
+    c = json_number(doc, "c", None)
     result = schur_agler_norm(phi, pre, tol, params)
     body = {"command": "norm", "solver": _solver_echo(params, args),
             "c_lo": result.c_lo, "c_hi": result.c_hi,
@@ -264,27 +270,22 @@ def cmd_norm(doc, args) -> int:
         body["witness"] = kernel_to_json(result.witness.kernel)
         body["witness_pairing"] = result.witness.pairing
     exit_code = EXIT_OK if result.resolved else EXIT_UNRESOLVED
-    if "c" in doc:
-        at_c = agler_decompose(phi, pre, float(doc["c"]), params)
-        _revalidate_result(at_c, phi, pre, float(doc["c"]), params)
+    if c is not None:
+        at_c = agler_decompose(phi, pre, c, params)
+        _revalidate_result(at_c, phi.sample, pre, target_blocks(phi, c), params)
         body["at_c"] = result_to_json(at_c)
-        body["at_c"]["c"] = float(doc["c"])
+        body["at_c"]["c"] = c
         exit_code = _status_exit(at_c.status)
     _emit(args, body)
     return exit_code
 
 
 def cmd_brehmer(doc, args) -> int:
-    from .opmodel import builtin_tuple, is_brehmer
-    from .serialize import FormatError, json_to_preordering, json_to_tuple, lambda_key
-    if "name" in doc:
-        T = builtin_tuple(doc["name"])
-    elif "tuple" in doc:
-        T = json_to_tuple(doc["tuple"], "$.tuple")
-    else:
-        raise FormatError("$.tuple", "need a tuple or a built-in name")
+    from .opmodel import is_brehmer
+    from .serialize import json_number, json_to_preordering, lambda_key
+    T = _tuple_from(doc)
     pre = json_to_preordering(doc.get("preordering"), "$.preordering")
-    tol = float(doc.get("tol", 1e-10))
+    tol = json_number(doc, "tol", 1e-10)
     rep = is_brehmer(T, pre, tol)
     body = {"command": "brehmer", "is_brehmer": rep.is_brehmer,
             "margins": {lambda_key(lam): v for lam, v in sorted(rep.margins.items())},
@@ -295,18 +296,12 @@ def cmd_brehmer(doc, args) -> int:
 
 def cmd_vn(doc, args) -> int:
     import numpy as np
-    from .opmodel import builtin_tuple, eval_colligation_at_tuple
-    from .serialize import (FormatError, array_to_json, json_to_colligation,
-                            json_to_tuple)
+    from .opmodel import eval_colligation_at_tuple
+    from .serialize import FormatError, array_to_json, json_to_colligation
     if "colligation" not in doc:
         raise FormatError("$.colligation", "missing field")
     col = json_to_colligation(doc["colligation"], "$.colligation")
-    if "name" in doc:
-        T = builtin_tuple(doc["name"])
-    elif "tuple" in doc:
-        T = json_to_tuple(doc["tuple"], "$.tuple")
-    else:
-        raise FormatError("$.tuple", "need a tuple or a built-in name")
+    T = _tuple_from(doc)
     rescaled = False
     if not T.is_strict():
         if T.is_contractive():
@@ -323,7 +318,6 @@ def cmd_vn(doc, args) -> int:
 
 
 def cmd_pick(doc, args) -> int:
-    import numpy as np
     from .pick import PickProblem, pick_feasible, pick_solve
     from .serialize import (FormatError, colligation_to_json, json_to_array,
                             json_to_points, json_to_preordering, result_to_json)
@@ -337,6 +331,7 @@ def cmd_pick(doc, args) -> int:
     problem = PickProblem(nodes, a, b, pre)
     params = _solver_params(doc, args)
     result = pick_feasible(problem, params)
+    _revalidate_result(result, nodes, pre, problem.target_blocks(), params)
     body = {"command": "pick", "solver": _solver_echo(params, args)}
     body.update(result_to_json(result))
     if result.feasible:
@@ -349,9 +344,7 @@ def cmd_pick(doc, args) -> int:
 
 def cmd_example(doc, args) -> int:
     import numpy as np
-    from .opmodel import (builtin_tuple, commutant_dimension, gkvw_default,
-                          hereditary_defect, parrott_default, parrott_forced_zero)
-    from .preorder import classical
+    from .opmodel import builtin_tuple, commutant_dimension, parrott_forced_zero
     from .serialize import tuple_to_json
     name = args.name
     T = builtin_tuple(name)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, min_eig
-from .auxfun import AuxFunctionSample, monomial_rows_at
+from ._linalg import min_eig
+from .auxfun import AuxFunctionSample, monomial_rows, row_sqnorms
 from .kernels import PointSample
-from .preorder import MultiIndex, Preordering, classify, weight
+from .preorder import MultiIndex, Preordering, classify
 from .realize import (AglerCertificate, Colligation, DecomposeResult, SolverParams,
                       decide_target, eval_transfer, lurking_colligation)
 
@@ -94,28 +94,21 @@ def sigma_model_min_eig(problem: PickProblem, sigma_ext: AuxFunctionSample) -> f
 
 @dataclass(frozen=True)
 class PickSolution:
-    """Synthesized interpolant: b(x) = a(x) W(x) at the nodes."""
+    """Synthesized interpolant: b(x) = a(x) W(x) at the nodes; W evaluates
+    anywhere in the domain through eval_transfer on the colligation."""
 
     colligation: Colligation
     node_residual: float
 
-    def evaluate(self, point) -> np.ndarray:
-        """W at an arbitrary domain point; contractive for unitary colligations."""
-        return eval_transfer(self.colligation, point)
-
 
 def pick_solve(problem: PickProblem, cert: AglerCertificate,
-               feas_tol: float = 1e-8, rank_tol: float = DEFAULT_TOL) -> PickSolution:
+               feas_tol: float = 1e-8) -> PickSolution:
     """Contractive multiplier W with b = a W at every node, by the lurking
     isometry on a a^* - b b^* = sum Gamma_lam * defect_lam, and the worst
     node residual |a W - b|."""
-    sample = problem.nodes
-    col = lurking_colligation(sample, problem.a, problem.b, cert, feas_tol, rank_tol)
-    worst = 0.0
-    for x in range(sample.n_points):
-        W = eval_transfer(col, sample.points[x])
-        worst = max(worst, float(np.abs(problem.a[x] @ W - problem.b[x]).max()))
-    return PickSolution(col, worst)
+    col = lurking_colligation(problem.nodes, problem.a, problem.b, cert, feas_tol)
+    W = eval_transfer(col, problem.nodes.points)
+    return PickSolution(col, float(np.abs(problem.a @ W - problem.b).max()))
 
 
 def corona_right_inverse(sample: PointSample, lam: MultiIndex,
@@ -131,39 +124,24 @@ def corona_right_inverse(sample: PointSample, lam: MultiIndex,
     if not cls.is_ample:
         raise ValueError("the corona reduction here needs an ample preordering")
     lam = tuple(int(v) for v in lam)
-    N = sample.n_points
-    n = 2 ** (weight(lam) - 1)
-    a = np.zeros((N, 1, n), dtype=complex)
-    b = np.zeros((N, 1, n), dtype=complex)
-    for x in range(N):
-        pr, _ = monomial_rows_at(sample.points[x], lam)
-        a[x, 0, :] = pr
-        b[x, 0, 0] = 1.0
+    plus, _ = monomial_rows(sample.points, lam)
+    a = plus[:, None, :]
+    b = np.zeros_like(a)
+    b[:, 0, 0] = 1.0
     problem = PickProblem(sample, a, b, preordering)
     out = pick_feasible(problem, params)
     if not out.feasible:
         raise ArithmeticError(f"corona problem unexpectedly {out.status}")
     sol = pick_solve(problem, out.certificate, params.feas_tol)
-    omegas = np.zeros((N, n, 1), dtype=complex)
-    worst = 0.0
-    for x in range(N):
-        W = sol.evaluate(sample.points[x])
-        omegas[x] = W[:, :1]
-        pr, _ = monomial_rows_at(sample.points[x], lam)
-        worst = max(worst, abs(pr @ omegas[x][:, 0] - 1.0))
+    omegas = eval_transfer(sol.colligation, sample.points)[:, :, :1]
+    worst = np.abs(a @ omegas - 1.0).max()
     return omegas, sol, float(worst)
 
 
 def pointwise_right_inverse(sample: PointSample, lam: MultiIndex) -> np.ndarray:
     """Sanity oracle omega(x) = psi^+(x)^* / |psi^+(x)|^2 (no norm bound claim)."""
-    lam = tuple(int(v) for v in lam)
-    N = sample.n_points
-    n = 2 ** (weight(lam) - 1)
-    out = np.zeros((N, n, 1), dtype=complex)
-    for x in range(N):
-        pr, _ = monomial_rows_at(sample.points[x], lam)
-        out[x, :, 0] = pr.conj() / (np.linalg.norm(pr) ** 2)
-    return out
+    plus, _ = monomial_rows(sample.points, tuple(int(v) for v in lam))
+    return plus.conj()[:, :, None] / row_sqnorms(plus)[:, None, None]
 
 
 def classical_pick_matrix(problem: PickProblem) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import (DEFAULT_TOL, hermitian_sqrt, hermitize, hermitize_stack,
                       polar_isometry, psd_clip, spectral_norm)
-from .auxfun import monomial_rows_at, sigma_at
+from .auxfun import psi_rows, raw_sigmas
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                       kolmogorov, psd_check, szego_factor)
 from .preorder import (MultiIndex, Preordering, classify, is_zero_one,
@@ -104,7 +104,7 @@ class DecomposeResult:
         return self.status == "feasible"
 
 
-def _target_blocks(phi: FunctionSample, c: float) -> np.ndarray:
+def target_blocks(phi: FunctionSample, c: float) -> np.ndarray:
     """(c^2 I - phi(x) phi(y)^*) as (N, N, m, m) blocks."""
     vals = phi.values
     N, m = vals.shape[0], vals.shape[1]
@@ -134,7 +134,7 @@ def ample_membership(phi: FunctionSample, preordering: Preordering, c: float,
         raise ValueError(f"ample membership needs an ample preordering, got {cls.kind}")
     if not is_zero_one(cls.lambda_max):
         raise ValueError("ample membership needs a 0/1 maximal element")
-    w = np.linalg.eigvalsh(_szego_gamma(phi.sample, _target_blocks(phi, c), cls.lambda_max))
+    w = np.linalg.eigvalsh(_szego_gamma(phi.sample, target_blocks(phi, c), cls.lambda_max))
     scale = max(np.abs(w).max(), 1.0)
     lo = float(w.min())
     return lo >= -tol * scale, lo
@@ -163,7 +163,7 @@ def validate_certificate_target(sample: PointSample, preordering: Preordering,
 def validate_certificate(phi: FunctionSample, preordering: Preordering, c: float,
                          cert: AglerCertificate, feas_tol: float) -> tuple[bool, float, float]:
     return validate_certificate_target(phi.sample, preordering,
-                                       _target_blocks(phi, c), cert, feas_tol)
+                                       target_blocks(phi, c), cert, feas_tol)
 
 
 def validate_witness_target(sample: PointSample, preordering: Preordering,
@@ -184,7 +184,7 @@ def validate_witness_target(sample: PointSample, preordering: Preordering,
 def validate_witness(phi: FunctionSample, preordering: Preordering, c: float,
                      witness: HermitianKernel, feas_tol: float,
                      psd_tol: float = 1e-12) -> Witness | None:
-    return validate_witness_target(phi.sample, preordering, _target_blocks(phi, c),
+    return validate_witness_target(phi.sample, preordering, target_blocks(phi, c),
                                    witness, feas_tol, psd_tol)
 
 
@@ -464,7 +464,7 @@ def _szego_top(phi: FunctionSample, lam: MultiIndex,
     largest entry of that PSD witness sits on its diagonal.  The eigenvector
     has unit norm, which keeps the rank-one defect kernels of that witness
     within the admissibility check's absolute tolerance."""
-    A = -_szego_gamma(phi.sample, _target_blocks(phi, 0.0), lam)
+    A = -_szego_gamma(phi.sample, target_blocks(phi, 0.0), lam)
     ks = szego_factor(phi.sample, lam)
     Bi = hermitian_sqrt(np.kron(ks, np.eye(phi.m_out)))[1]  # on the numerical range
     w, V = np.linalg.eigh(hermitize(Bi @ (A - np.diag(shift * np.ones(len(A)))) @ Bi))
@@ -533,7 +533,7 @@ def agler_decompose(phi: FunctionSample, preordering: Preordering, c: float = 1.
     """
     if phi.m_out != phi.m_in:
         raise ValueError("decomposition targets square matrix values")
-    return decide_target(phi.sample, preordering, _target_blocks(phi, c), c, params)
+    return decide_target(phi.sample, preordering, target_blocks(phi, c), c, params)
 
 
 # ---------------------------------------------------------------------------
@@ -600,42 +600,38 @@ class Colligation:
         bot = np.hstack([self.C, self.D])
         return np.vstack([top, bot])
 
-    def state_blocks(self, point: np.ndarray) -> np.ndarray:
-        """S(x): block diagonal of multiplicity copies of each sigma_lam(x)."""
-        E = self.state_dim
-        S = np.zeros((E, E), dtype=complex)
-        off = 0
-        for lam, mult in self.partition:
-            n = 2 ** (weight(lam) - 1)
-            sig = sigma_at(point, lam)
-            for _ in range(mult):
-                S[off:off + n, off:off + n] = sig
-                off += n
-        return S
 
-
-def eval_transfer(col: Colligation, point) -> np.ndarray:
-    """W(x) = D + C S(x) (1 - A S(x))^{-1} B at one psi-value point."""
-    point = np.asarray(point, dtype=complex).ravel()
-    if col.partition and len(point) != col.d:
-        raise ValueError(f"point dimension {len(point)} != colligation dimension {col.d}")
-    if np.abs(point).max(initial=0.0) >= 1.0:
+def eval_transfer(col: Colligation, points) -> np.ndarray:
+    """W(x) = D + C S(x) (1 - A S(x))^{-1} B at each row x of an (N, d)
+    psi-value array, as (N, m, m); S(x) stacks multiplicity copies of each
+    sigma_lam(x) on the diagonal.  One dense solve per point: a stacked solve
+    over all points is no faster and holds N copies of the E x E system."""
+    pts = np.asarray(points, dtype=complex)
+    N = pts.shape[0]
+    if N and col.partition and pts.shape[1] != col.d:
+        raise ValueError(f"point dimension {pts.shape[1]} != colligation dimension {col.d}")
+    if np.abs(pts).max(initial=0.0) >= 1.0:
         raise ValueError("transfer evaluation needs |psi_i(x)| < 1")
+    W = np.repeat(col.D[None], N, axis=0)
     E = col.state_dim
-    if E == 0:
-        return col.D.copy()
-    S = col.state_blocks(point)
-    return col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
-
-
-def eval_transfer_sample(col: Colligation, sample: PointSample) -> FunctionSample:
-    vals = np.array([eval_transfer(col, sample.points[x]) for x in range(sample.n_points)])
-    return FunctionSample(sample, vals)
+    if E == 0 or N == 0:
+        return W
+    sigmas = [(raw_sigmas(pts, lam), mult) for lam, mult in col.partition]
+    S = np.zeros((E, E), dtype=complex)  # off-diagonal blocks stay zero
+    for x in range(N):
+        off = 0
+        for sig, mult in sigmas:
+            n = sig.shape[1]
+            for _ in range(mult):
+                S[off:off + n, off:off + n] = sig[x]
+                off += n
+        W[x] = col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
+    return W
 
 
 def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,
                         cert: AglerCertificate, feas_tol: float = 1e-8,
-                        rank_tol: float = DEFAULT_TOL, c: float = 1.0) -> Colligation:
+                        c: float = 1.0) -> Colligation:
     """Colligation with b(x) = a(x) W(x) at the nodes, via the lurking isometry.
 
     cert decomposes c^2 (a a^* - b b^*) = sum D_lam o Gamma_lam; a and b are
@@ -650,27 +646,30 @@ def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,
     lams = cert.lambdas()
     gammas, mults, ns = {}, {}, {}
     for lam in lams:
-        fac = kolmogorov(cert.gammas[lam], rank_tol)
+        fac = kolmogorov(cert.gammas[lam], DEFAULT_TOL)
         gammas[lam] = fac.gammas / c  # (N, m, r)
         mults[lam] = fac.rank
         ns[lam] = 2 ** (weight(lam) - 1)
     E = sum(mults[lam] * ns[lam] for lam in lams)
 
+    def columns(blocks):  # (N, rows, m) node blocks -> (rows, N*m), node x in columns x*m..
+        return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], N * m)
+
     M_minus = np.zeros((E + p, N * m), dtype=complex)
     M_plus = np.zeros((E + p, N * m), dtype=complex)
-    for x in range(N):
-        cols = slice(x * m, (x + 1) * m)
-        off = 0
-        for lam in lams:
-            pr, mr = monomial_rows_at(sample.points[x], lam)
-            g = gammas[lam][x]  # (m, r)
-            r = mults[lam]
-            if r:
-                M_plus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, pr.conj()[:, None])
-                M_minus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, mr.conj()[:, None])
-            off += r * ns[lam]
-        M_minus[E:, cols] = a[x].conj().T
-        M_plus[E:, cols] = b[x].conj().T
+    off = 0
+    for lam in lams:
+        rows = psi_rows(sample, lam)
+        size = mults[lam] * ns[lam]
+        g = gammas[lam].conj().transpose(0, 2, 1)[:, :, None, :]  # (N, r, 1, m)
+        # kron(gamma(x)^*, psi(x)^*) at every node: rows i*n + k of copy i
+        M_plus[off:off + size] = columns((g * rows.plus.conj()[:, None, :, None])
+                                         .reshape(N, size, m))
+        M_minus[off:off + size] = columns((g * rows.minus.conj()[:, None, :, None])
+                                          .reshape(N, size, m))
+        off += size
+    M_minus[E:] = columns(a.conj().transpose(0, 2, 1))
+    M_plus[E:] = columns(b.conj().transpose(0, 2, 1))
 
     gram_err = np.abs(M_plus.conj().T @ M_plus - M_minus.conj().T @ M_minus).max()
     scale = max(np.abs(M_minus).max() ** 2, 1.0)
@@ -678,7 +677,7 @@ def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,
         raise ValueError(f"certificate rejected: Gram mismatch {gram_err:.3e}")
 
     U_, s_, Vh_ = np.linalg.svd(M_minus)
-    rank = int((s_ > rank_tol * max(s_.max(initial=0.0), 1e-300)).sum())
+    rank = int((s_ > DEFAULT_TOL * max(s_.max(initial=0.0), 1e-300)).sum())
     Um, Um_perp = U_[:, :rank], U_[:, rank:]
     pinv = Vh_[:rank].conj().T @ np.diag(1 / s_[:rank]) @ Um.conj().T
     images = polar_isometry(M_plus @ pinv @ Um)
@@ -693,15 +692,13 @@ def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,
 
 
 def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
-                     feas_tol: float = 1e-8,
-                     rank_tol: float = DEFAULT_TOL) -> Colligation:
+                     feas_tol: float = 1e-8) -> Colligation:
     """Colligation whose transfer function is phi / c, from a decomposition
     certificate at c: the Pick construction with a = 1 and b = phi / c."""
     # c^2 - phi phi^* = sum D o Gamma is 1 - (phi/c)(phi/c)^* = sum D o (Gamma/c^2)
     c = cert.c if cert.c != 0 and abs(cert.c - 1.0) > 1e-12 else 1.0
     identity = np.tile(np.eye(phi.m_out), (phi.sample.n_points, 1, 1))
-    return lurking_colligation(phi.sample, identity, phi.values / c, cert, feas_tol,
-                               rank_tol, c)
+    return lurking_colligation(phi.sample, identity, phi.values / c, cert, feas_tol, c)
 
 
 def transfer_compose(c1: Colligation, c2: Colligation, mode: str = "product",
@@ -773,7 +770,7 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
 
     def szego_cert(lam):  # the certificate on lam alone, as a function of c
         return lambda c: _szego_certificate(
-            phi.sample, lams, lam, _szego_gamma(phi.sample, _target_blocks(phi, c), lam), c)
+            phi.sample, lams, lam, _szego_gamma(phi.sample, target_blocks(phi, c), lam), c)
 
     cls = classify(preordering)
     if cls.is_ample and not params.force_iterative:
@@ -785,7 +782,7 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
         u = _szego_top(phi, lam, shift)[1]
         lo = _witness_end(phi, preordering, _szego_witness(phi.sample, lam, u), params, sup)
     else:
-        ws = _Workspace(phi.sample, lams, _target_blocks(phi, 0.0), params.feas_tol)
+        ws = _Workspace(phi.sample, lams, target_blocks(phi, 0.0), params.feas_tol)
         for _, upper, lower in _interior_point(ws, params):
             pass
         hi = _certificate_end(phi, preordering, upper[0],
@@ -818,8 +815,8 @@ def _witness_end(phi, preordering, kern, params, sup):
     """(c, witness) at the largest c > sup where kern separates, found in closed
     form (the pairing is affine in c^2) and lowered by an offset until the
     witness validates."""
-    R0 = _target_blocks(phi, 0.0)
-    mass = pairing(_target_blocks(phi, 1.0) - R0, kern)
+    R0 = target_blocks(phi, 0.0)
+    mass = pairing(target_blocks(phi, 1.0) - R0, kern)
     if not mass > 0:
         return None
     c_sq = -(pairing(R0, kern) + params.feas_tol * np.abs(kern.blocks).max()) / mass

@@ -44,8 +44,7 @@ def random_transfer_sample(rng: np.random.Generator, n_points: int, d: int,
     """Values of a random unitary-colligation transfer function on a sample."""
     col = random_classical_colligation(rng, d, m)
     sample = random_points(rng, n_points, d)
-    vals = np.array([eval_transfer(col, sample.points[x]) for x in range(n_points)])
-    return FunctionSample(sample, vals), col
+    return FunctionSample(sample, eval_transfer(col, sample.points)), col
 
 
 def random_strict_tuple(rng: np.random.Generator, d: int, q: int,

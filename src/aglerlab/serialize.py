@@ -15,7 +15,7 @@ import numpy as np
 from .kernels import HermitianKernel, PointSample
 from .preorder import Preordering
 from .realize import (AglerCertificate, Colligation, DecomposeResult, FunctionSample,
-                      SolverParams, Witness)
+                      SolverParams)
 
 SCHEMA = "agler-lab/1"
 
@@ -40,7 +40,7 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(doc, indent: int = 0) -> str:
+def dumps(doc) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
     pieces: list[str] = []
     _emit(doc, pieces)
@@ -270,6 +270,9 @@ def function_sample_to_json(phi: FunctionSample) -> dict:
 
 
 def json_to_function_sample(doc, path: str = "$") -> FunctionSample:
+    for key in ("points", "phi"):
+        if key not in doc:
+            raise FormatError(f"{path}.{key}", "missing field")
     sample = json_to_points(doc["points"], f"{path}.points")
     vals = json_to_array(doc["phi"], f"{path}.phi")
     if vals.ndim == 1:
@@ -298,13 +301,28 @@ def json_to_tuple(doc, path: str = "$"):
         raise FormatError(f"{path}.matrices", str(exc)) from None
 
 
-_SOLVER_TYPES = {  # JSON types per field; a bool is never taken for a number
-    "feas_tol": ((int, float), "a number"),
-    "stall_rtol": ((int, float), "a number"),
+_NUMBER = ((int, float), "a number")
+_SOLVER_TYPES = {
+    "feas_tol": _NUMBER,
+    "stall_rtol": _NUMBER,
     "max_iter": ((int,), "an integer"),
     "stall_window": ((int,), "an integer"),
     "force_iterative": ((bool,), "a boolean"),
 }
+
+
+def _check_type(val, types, name: str, path: str) -> None:
+    """JSON type check; a bool is never taken for a number."""
+    if not isinstance(val, types) or (bool not in types and isinstance(val, bool)):
+        raise FormatError(path, f"must be {name}")
+
+
+def json_number(doc: dict, key: str, default):
+    """Top-level doc[key] as a float, or default when the field is absent."""
+    if key not in doc:
+        return default
+    _check_type(doc[key], *_NUMBER, f"$.{key}")
+    return float(doc[key])
 
 
 def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
@@ -319,9 +337,7 @@ def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
             continue
         if key not in _SOLVER_TYPES:
             raise FormatError(f"{path}.{key}", "unknown solver parameter")
-        types, name = _SOLVER_TYPES[key]
-        if not isinstance(val, types) or (bool not in types and isinstance(val, bool)):
-            raise FormatError(f"{path}.{key}", f"must be {name}")
+        _check_type(val, *_SOLVER_TYPES[key], f"{path}.{key}")
         setattr(params, key, type(getattr(params, key))(val))
     if params.feas_tol <= 0:
         raise FormatError(f"{path}.feas_tol", "must be positive")

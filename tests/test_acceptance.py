@@ -63,7 +63,7 @@ def test_accept_01_roundtrip_realization():
             feasible += 1
             col = lurking_isometry(out.certificate, phi)
             for x in range(n):
-                err = abs(eval_transfer(col, phi.sample.points[x])[0, 0]
+                err = abs(eval_transfer(col, phi.sample.points[x:x + 1])[0, 0, 0]
                           - phi.values[x, 0, 0])
                 worst = max(worst, err)
     elapsed = time.monotonic() - t0

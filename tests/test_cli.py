@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from aglerlab.realize import FunctionSample
 from aglerlab.sampling import random_points, random_transfer_sample
 from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
                                 kernel_to_json, points_to_json)
-from aglerlab.kernels import ones_kernel, szego_kernel
+from aglerlab.kernels import HermitianKernel, ones_kernel, szego_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -285,3 +286,68 @@ def test_aux_verify_mode(tmp_path):
     code, doc = run_cli(["aux"], tmp_path, payload)
     assert code == 0
     assert doc["residual"] < 1e-10
+
+
+def _decompose_payload():
+    phi, _ = random_transfer_sample(np.random.default_rng(14), 3, 2)
+    return {**function_sample_to_json(phi), "preordering": [[1, 1]]}
+
+
+@pytest.mark.parametrize("command", ["decompose", "realize", "norm"])
+@pytest.mark.parametrize("field", ["points", "phi"])
+def test_missing_function_sample_field_names_it(command, field, tmp_path, capsys):
+    payload = {k: v for k, v in _decompose_payload().items() if k != field}
+    code, doc = run_cli([command], tmp_path, payload)
+    assert code == 1 and doc is None
+    assert f"$.{field}: missing field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decompose", "realize", "norm"])
+def test_boolean_c_rejected(command, tmp_path, capsys):
+    code, doc = run_cli([command], tmp_path, {**_decompose_payload(), "c": True})
+    assert code == 1 and doc is None
+    assert "$.c: must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["norm", "check-kernel", "brehmer"])
+@pytest.mark.parametrize("tol", [False, "x"], ids=["bool", "string"])
+def test_mistyped_tol_rejected(command, tol, tmp_path, capsys):
+    s = random_points(np.random.default_rng(15), 3, 2)
+    payload = {"norm": _decompose_payload(),
+               "check-kernel": {"kernel": kernel_to_json(szego_kernel(s, (1, 1))),
+                                "preordering": [[1, 1]]},
+               "brehmer": {"name": "kv", "preordering": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+               }[command]
+    code, doc = run_cli([command], tmp_path, {**payload, "tol": tol})
+    assert code == 1 and doc is None
+    assert "$.tol: must be a number" in capsys.readouterr().err
+
+
+def test_decompose_refuses_certificate_failing_revalidation(tmp_path, capsys, monkeypatch):
+    import aglerlab.realize as realize
+    solve = realize.agler_decompose
+
+    def doubled(*args, **kwargs):  # every Gamma doubled: the identity no longer reassembles
+        out = solve(*args, **kwargs)
+        cert = out.certificate
+        gammas = {lam: HermitianKernel(K.sample, 2 * K.blocks) for lam, K in cert.gammas.items()}
+        return replace(out, certificate=replace(cert, gammas=gammas))
+
+    monkeypatch.setattr(realize, "agler_decompose", doubled)
+    code, doc = run_cli(["decompose"], tmp_path, coordinate_fixture(np.random.default_rng(16)))
+    assert code == 1 and doc is None
+    assert "refusing to emit" in capsys.readouterr().err
+
+
+def test_pick_refuses_witness_failing_revalidation(tmp_path, capsys, monkeypatch):
+    import aglerlab.pick as pick
+    from aglerlab.realize import DecomposeResult, Witness
+
+    def bogus(problem, params=None):  # the all-ones kernel pairs positively with a feasible target
+        return DecomposeResult("infeasible", None, Witness(ones_kernel(problem.nodes), -1.0,
+                                                           0.0, 0.0), 0.0, 0)
+
+    monkeypatch.setattr(pick, "pick_feasible", bogus)
+    code, doc = run_cli(["pick"], tmp_path, TestPickCommand.payload)
+    assert code == 1 and doc is None
+    assert "refusing to emit" in capsys.readouterr().err

@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from aglerlab.auxfun import extend_aux_finite, monomial_rows_at
+from aglerlab.auxfun import extend_aux_finite, monomial_rows
 from aglerlab.kernels import PointSample
 from aglerlab.pick import (PickProblem, classical_pick_matrix, corona_right_inverse,
                            pick_feasible, pick_solve, pointwise_right_inverse,
                            sigma_model_min_eig)
 from aglerlab.preorder import Preordering, classical, standard_ample
-from aglerlab.realize import FunctionSample, SolverParams, agler_decompose, lurking_isometry
+from aglerlab.realize import (FunctionSample, SolverParams, agler_decompose, eval_transfer,
+                              lurking_isometry)
 from aglerlab.sampling import random_points, random_transfer_sample
 
 RNG = np.random.default_rng
@@ -75,7 +76,7 @@ class TestSolve:
         sol = pick_solve(problem, out.certificate)
         assert sol.node_residual < 1e-7
         # held-out point: no uniqueness claim, only contractivity
-        assert np.linalg.norm(sol.evaluate([0.25]), 2) <= 1 + 1e-10
+        assert np.linalg.norm(eval_transfer(sol.colligation, [[0.25]])[0], 2) <= 1 + 1e-10
 
     def test_constant_ratio(self):
         rng = RNG(2)
@@ -88,7 +89,7 @@ class TestSolve:
         sol = pick_solve(problem, out.certificate)
         assert sol.node_residual < 1e-7
         for z in (0.1, -0.2 + 0.3j):
-            assert np.linalg.norm(sol.evaluate([z]), 2) <= 1 + 1e-10
+            assert np.linalg.norm(eval_transfer(sol.colligation, [[z]])[0], 2) <= 1 + 1e-10
 
     def test_bidisk_forward_generated_ample(self):
         rng = RNG(3)
@@ -127,18 +128,18 @@ class TestCorona:
         omegas, sol, res = corona_right_inverse(s, (1, 1), standard_ample(2))
         assert res < 1e-8
         for x in range(4):
-            pr, _ = monomial_rows_at(s.points[x], (1, 1))
+            pr = monomial_rows(s.points[x:x + 1], (1, 1))[0][0]
             assert abs(pr @ omegas[x][:, 0] - 1.0) < 1e-8
         # off the node set only contractivity is promised
         z = random_points(rng, 1, 2).points[0]
-        assert np.linalg.norm(sol.evaluate(z), 2) <= 1 + 1e-9
+        assert np.linalg.norm(eval_transfer(sol.colligation, [z])[0], 2) <= 1 + 1e-9
 
     def test_pointwise_fallback(self):
         rng = RNG(7)
         s = random_points(rng, 4, 2)
         om = pointwise_right_inverse(s, (1, 1))
         for x in range(4):
-            pr, _ = monomial_rows_at(s.points[x], (1, 1))
+            pr = monomial_rows(s.points[x:x + 1], (1, 1))[0][0]
             assert abs(pr @ om[x][:, 0] - 1.0) < 1e-14
 
 

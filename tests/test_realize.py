@@ -1,14 +1,17 @@
 """Decomposition solver, witnesses, colligations, transfer functions, norm."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from aglerlab.kernels import HermitianKernel, PointSample, defect_factor, ones_kernel
+from aglerlab._linalg import DEFAULT_TOL, polar_isometry
+from aglerlab.kernels import (HermitianKernel, PointSample, defect_factor, kolmogorov,
+                              ones_kernel)
 from aglerlab.opmodel import kv_polynomial
-from aglerlab.preorder import (Preordering, classical, standard_ample, standard_nearly_ample,
-                               unit)
+from aglerlab.preorder import (Preordering, classical, minimal_reduction, parity_split,
+                               standard_ample, standard_nearly_ample, unit, weight)
 from aglerlab.realize import (Colligation, FunctionSample, SolverParams,
-                              agler_decompose, ample_membership, eval_transfer,
-                              eval_transfer_sample, lurking_isometry,
+                              agler_decompose, ample_membership, decide_target,
+                              eval_transfer, lurking_colligation, lurking_isometry,
                               schur_agler_norm, transfer_compose,
                               validate_certificate, validate_witness)
 from aglerlab.sampling import (random_classical_colligation, random_points,
@@ -144,14 +147,14 @@ class TestLurkingIsometry:
         assert col.operator().shape == (2, 2)
         assert abs(col.D[0, 0]) < 1e-10
         for z in [0.25, -0.1 + 0.3j]:
-            assert eval_transfer(col, [z])[0, 0] == pytest.approx(z, abs=1e-10)
+            assert eval_transfer(col, [[z]])[0, 0, 0] == pytest.approx(z, abs=1e-10)
 
     def test_roundtrip_classical_d2(self):
         rng = RNG(8)
         phi, _ = random_transfer_sample(rng, 5, 2)
         out = agler_decompose(phi, classical(2), 1.0)
         col = lurking_isometry(out.certificate, phi)
-        back = eval_transfer_sample(col, phi.sample)
+        back = FunctionSample(phi.sample, eval_transfer(col, phi.sample.points))
         assert np.abs(back.values - phi.values).max() < 1e-8
 
     def test_roundtrip_product_function(self):
@@ -160,7 +163,7 @@ class TestLurkingIsometry:
         phi = FunctionSample(s, s.points[:, 0] * s.points[:, 1])
         out = agler_decompose(phi, classical(2), 1.0)
         col = lurking_isometry(out.certificate, phi)
-        back = eval_transfer_sample(col, s)
+        back = FunctionSample(s, eval_transfer(col, s.points))
         assert np.abs(back.values - phi.values).max() < 1e-8
 
     def test_gram_mismatch_rejected(self):
@@ -176,17 +179,17 @@ class TestEvalTransfer:
     def test_identity_colligation(self):
         col = Colligation(np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
                           ((unit(1, 0), 1),))
-        assert eval_transfer(col, [0.3])[0, 0] == pytest.approx(1.0)
+        assert eval_transfer(col, [[0.3]])[0, 0, 0] == pytest.approx(1.0)
 
     def test_coordinate_colligation(self):
         flip = Colligation([[0.0]], [[1.0]], [[1.0]], [[0.0]], ((unit(2, 0), 1),))
         z = [0.4 + 0.2j, -0.3]
-        assert eval_transfer(flip, z)[0, 0] == pytest.approx(z[0])
+        assert eval_transfer(flip, [z])[0][0, 0] == pytest.approx(z[0])
 
     def test_constant_contractive(self):
         col = Colligation(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                           [[0.7]], (), contractive=True)
-        assert eval_transfer(col, [0.2])[0, 0] == pytest.approx(0.7)
+        assert eval_transfer(col, [[0.2]])[0, 0, 0] == pytest.approx(0.7)
 
     def test_contractive_values(self):
         rng = RNG(11)
@@ -194,7 +197,7 @@ class TestEvalTransfer:
             d = int(rng.integers(1, 4))
             col = random_classical_colligation(rng, d)
             z = random_points(rng, 1, d, rmax=0.98).points[0]
-            assert np.linalg.norm(eval_transfer(col, z), 2) <= 1 + 1e-10
+            assert np.linalg.norm(eval_transfer(col, [z])[0], 2) <= 1 + 1e-10
 
     def test_norm_bound_many_trials(self):
         # 2000 random (unitary colligation, point) pairs stay within the ball
@@ -204,13 +207,13 @@ class TestEvalTransfer:
             d = int(rng.integers(1, 4))
             col = random_classical_colligation(rng, d)
             z = random_points(rng, 1, d, rmax=0.999).points[0]
-            worst = max(worst, np.linalg.norm(eval_transfer(col, z), 2))
+            worst = max(worst, np.linalg.norm(eval_transfer(col, [z])[0], 2))
         assert worst <= 1 + 1e-10
 
     def test_boundary_point_rejected(self):
         col = Colligation([[0.0]], [[1.0]], [[1.0]], [[0.0]], ((unit(1, 0), 1),))
         with pytest.raises(ValueError):
-            eval_transfer(col, [1.0])
+            eval_transfer(col, [[1.0]])
 
     def test_nonunitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -232,14 +235,14 @@ class TestTransferCompose:
         prod = transfer_compose(col, self._identity(2))
         for _ in range(5):
             z = random_points(rng, 1, 2).points[0]
-            assert np.allclose(eval_transfer(prod, z), eval_transfer(col, z))
+            assert np.allclose(eval_transfer(prod, [z])[0], eval_transfer(col, [z])[0])
 
     def test_product_of_coordinates(self):
         rng = RNG(14)
         prod = transfer_compose(self._coordinate(2, 0), self._coordinate(2, 1))
         for _ in range(5):
             z = random_points(rng, 1, 2).points[0]
-            assert eval_transfer(prod, z)[0, 0] == pytest.approx(z[0] * z[1])
+            assert eval_transfer(prod, [z])[0][0, 0] == pytest.approx(z[0] * z[1])
 
     def test_product_matches_pointwise(self):
         rng = RNG(15)
@@ -248,8 +251,8 @@ class TestTransferCompose:
         prod = transfer_compose(c1, c2)
         for _ in range(10):
             z = random_points(rng, 1, 2).points[0]
-            expected = eval_transfer(c1, z) @ eval_transfer(c2, z)
-            assert np.abs(eval_transfer(prod, z) - expected).max() < 1e-12
+            expected = eval_transfer(c1, [z])[0] @ eval_transfer(c2, [z])[0]
+            assert np.abs(eval_transfer(prod, [z])[0] - expected).max() < 1e-12
 
     def test_convex_endpoint(self):
         rng = RNG(16)
@@ -259,7 +262,7 @@ class TestTransferCompose:
         assert mix.contractive
         for _ in range(5):
             z = random_points(rng, 1, 2).points[0]
-            assert np.allclose(eval_transfer(mix, z), eval_transfer(c1, z), atol=1e-12)
+            assert np.allclose(eval_transfer(mix, [z])[0], eval_transfer(c1, [z])[0], atol=1e-12)
 
     def test_convex_midpoint(self):
         rng = RNG(17)
@@ -268,8 +271,8 @@ class TestTransferCompose:
         mix = transfer_compose(c1, c2, mode="convex", t=0.25)
         for _ in range(5):
             z = random_points(rng, 1, 2).points[0]
-            expected = 0.25 * eval_transfer(c1, z) + 0.75 * eval_transfer(c2, z)
-            assert np.abs(eval_transfer(mix, z) - expected).max() < 1e-12
+            expected = 0.25 * eval_transfer(c1, [z])[0] + 0.75 * eval_transfer(c2, [z])[0]
+            assert np.abs(eval_transfer(mix, [z])[0] - expected).max() < 1e-12
 
 
 class TestNorm:
@@ -367,3 +370,188 @@ class TestNearlyAmpleDirection:
                     checked += 1
                     assert ample_membership(phi, pre_a, c)[0]
         assert checked
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the per-point transfer evaluator and the
+# per-node lurking-isometry columns that the sample-wide code replaced; the
+# sample-wide code must reproduce them bit for bit
+
+
+def ref_monomial_rows_at(point, lam):
+    even, odd = parity_split(lam)
+    point = np.asarray(point, dtype=complex)
+    plus = np.array([np.prod(point ** np.array(q)) for q in even])
+    minus = np.array([np.prod(point ** np.array(q)) for q in odd])
+    return plus, minus
+
+
+def ref_sigma_at(point, lam):
+    plus, minus = ref_monomial_rows_at(point, lam)
+    return np.outer(plus.conj(), minus) / (np.linalg.norm(plus) ** 2)
+
+
+def ref_state_blocks(col, point):
+    E = col.state_dim
+    S = np.zeros((E, E), dtype=complex)
+    off = 0
+    for lam, mult in col.partition:
+        n = 2 ** (weight(lam) - 1)
+        sig = ref_sigma_at(point, lam)
+        for _ in range(mult):
+            S[off:off + n, off:off + n] = sig
+            off += n
+    return S
+
+
+def ref_eval_transfer(col, point):
+    point = np.asarray(point, dtype=complex).ravel()
+    if col.partition and len(point) != col.d:
+        raise ValueError(f"point dimension {len(point)} != colligation dimension {col.d}")
+    if np.abs(point).max(initial=0.0) >= 1.0:
+        raise ValueError("transfer evaluation needs |psi_i(x)| < 1")
+    E = col.state_dim
+    if E == 0:
+        return col.D.copy()
+    S = ref_state_blocks(col, point)
+    return col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
+
+
+def ref_lurking_colligation(sample, a, b, cert, feas_tol=1e-8, c=1.0):
+    N, m, p = a.shape
+    lams = cert.lambdas()
+    gammas, mults, ns = {}, {}, {}
+    for lam in lams:
+        fac = kolmogorov(cert.gammas[lam], DEFAULT_TOL)
+        gammas[lam] = fac.gammas / c
+        mults[lam] = fac.rank
+        ns[lam] = 2 ** (weight(lam) - 1)
+    E = sum(mults[lam] * ns[lam] for lam in lams)
+    M_minus = np.zeros((E + p, N * m), dtype=complex)
+    M_plus = np.zeros((E + p, N * m), dtype=complex)
+    for x in range(N):
+        cols = slice(x * m, (x + 1) * m)
+        off = 0
+        for lam in lams:
+            pr, mr = ref_monomial_rows_at(sample.points[x], lam)
+            g = gammas[lam][x]
+            r = mults[lam]
+            if r:
+                M_plus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, pr.conj()[:, None])
+                M_minus[off:off + r * ns[lam], cols] = np.kron(g.conj().T, mr.conj()[:, None])
+            off += r * ns[lam]
+        M_minus[E:, cols] = a[x].conj().T
+        M_plus[E:, cols] = b[x].conj().T
+    gram_err = np.abs(M_plus.conj().T @ M_plus - M_minus.conj().T @ M_minus).max()
+    scale = max(np.abs(M_minus).max() ** 2, 1.0)
+    if gram_err > 100 * feas_tol * scale:
+        raise ValueError(f"certificate rejected: Gram mismatch {gram_err:.3e}")
+    U_, s_, Vh_ = np.linalg.svd(M_minus)
+    rank = int((s_ > DEFAULT_TOL * max(s_.max(initial=0.0), 1e-300)).sum())
+    Um, Um_perp = U_[:, :rank], U_[:, rank:]
+    pinv = Vh_[:rank].conj().T @ np.diag(1 / s_[:rank]) @ Um.conj().T
+    images = polar_isometry(M_plus @ pinv @ Um)
+    comp = np.eye(E + p) - images @ images.conj().T
+    Uc, _, _ = np.linalg.svd(comp)
+    images_perp = Uc[:, :E + p - rank]
+    U = (np.hstack([images, images_perp]) @ np.hstack([Um, Um_perp]).conj().T).conj().T
+    partition = tuple((lam, mults[lam]) for lam in lams if mults[lam])
+    return Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+REFERENCE_PREORDERINGS = {
+    "classical(2)": classical(2), "classical(3)": classical(3),
+    "standard_ample(2)": standard_ample(2), "standard_ample(3)": standard_ample(3),
+    "standard_nearly_ample(3,0,1)": standard_nearly_ample(3, 0, 1),
+}
+REFERENCE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@REFERENCE
+@given(pre=st.sampled_from(sorted(REFERENCE_PREORDERINGS)), m=st.sampled_from([1, 2]),
+       mults=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       n_points=st.integers(0, 6), rmax=st.sampled_from([0.5, 0.99, 1 - 1e-9]),
+       defect=st.sampled_from([None, "repeat", "boundary", "outside", "dimension"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_transfer_matches_per_point_reference(pre, m, mults, n_points, rmax, defect, seed):
+    # E = 0 whenever every multiplicity is 0; points run up to 1 - 1e-9 in
+    # modulus, and a defect repeats a point, puts one on or outside the
+    # boundary, or drops a coordinate
+    rng = RNG(seed)
+    lams = minimal_reduction(REFERENCE_PREORDERINGS[pre]).sorted()
+    partition = tuple(zip(lams, mults))
+    E = sum(mult * 2 ** (weight(lam) - 1) for lam, mult in partition)
+    U = random_unitary(rng, E + m)
+    col = Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
+    d = len(lams[0])
+    shape = (n_points, d)
+    pts = rng.uniform(0, rmax, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    if n_points and defect == "repeat":
+        pts = pts[rng.integers(0, n_points, n_points + 2)]
+    elif n_points and defect in ("boundary", "outside"):
+        pts[rng.integers(n_points), rng.integers(d)] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * (
+            1.0 if defect == "boundary" else 1.5)
+    elif defect == "dimension":
+        pts = pts[:, 1:]
+    kind, got = _outcome(lambda: eval_transfer(col, pts))
+    ref_kind, ref = _outcome(lambda: np.array(
+        [ref_eval_transfer(col, p) for p in pts]).reshape(len(pts), m, m))
+    assert kind == ref_kind
+    if kind == "error":
+        assert got == ref
+    else:
+        assert got.shape == (len(pts), m, m)
+        assert np.array_equal(got, ref)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pre=st.sampled_from(sorted(REFERENCE_PREORDERINGS)), m=st.sampled_from([1, 2]),
+       n_points=st.integers(1, 5), rmax=st.sampled_from([0.85, 0.999]),
+       c=st.sampled_from([0.95, 1.0, 1.2]), pick=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lurking_colligation_matches_per_node_reference(pre, m, n_points, rmax, c, pick, seed):
+    rng = RNG(seed)
+    pre = REFERENCE_PREORDERINGS[pre]
+    d = pre.d
+    col = random_classical_colligation(rng, d, m)
+    sample = random_points(rng, n_points, d, rmax=rmax)
+    phi = FunctionSample(sample, 0.9 * eval_transfer(col, sample.points))
+    if pick:  # b = a phi with a random a, at c = 1
+        a = rng.normal(size=(n_points, m, m)) + 1j * rng.normal(size=(n_points, m, m))
+        b, c = a @ phi.values, 1.0
+        R = (np.einsum("xij,ykj->xyik", a, a.conj()) - np.einsum("xij,ykj->xyik", b, b.conj()))
+        out = decide_target(sample, pre, R, c)
+    else:  # realize: a = 1, b = phi / c
+        a, b = np.tile(np.eye(m, dtype=complex), (n_points, 1, 1)), phi.values / c
+        out = agler_decompose(phi, pre, c)
+    assume(out.feasible)
+    kind, got = _outcome(lambda: lurking_colligation(sample, a, b, out.certificate, 1e-8, c))
+    ref_kind, ref = _outcome(lambda: ref_lurking_colligation(sample, a, b, out.certificate,
+                                                             1e-8, c))
+    assert kind == ref_kind
+    if kind == "error":
+        assert got == ref
+    else:
+        for block in "ABCD":
+            assert np.array_equal(getattr(got, block), getattr(ref, block)), block
+        assert got.partition == ref.partition
+
+
+def test_lurking_colligation_with_empty_state():
+    # 1 - phi phi^* = 0 for a unimodular constant: every Gamma is zero, E = 0
+    sample = random_points(RNG(25), 3, 2)
+    phi = FunctionSample(sample, np.full(3, np.exp(0.3j)))
+    out = agler_decompose(phi, standard_ample(2), 1.0)
+    ident = np.ones((3, 1, 1), dtype=complex)
+    got = lurking_colligation(sample, ident, phi.values, out.certificate)
+    ref = ref_lurking_colligation(sample, ident, phi.values, out.certificate)
+    assert got.state_dim == ref.state_dim == 0
+    for block in "ABCD":
+        assert np.array_equal(getattr(got, block), getattr(ref, block)), block

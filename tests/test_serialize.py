@@ -90,7 +90,7 @@ class TestColligation:
         doc = colligation_to_json(col)
         back = json_to_colligation(doc)
         z = random_points(rng, 1, 2).points[0]
-        assert np.allclose(eval_transfer(back, z), eval_transfer(col, z))
+        assert np.allclose(eval_transfer(back, [z])[0], eval_transfer(col, [z])[0])
 
     def test_missing_field(self):
         with pytest.raises(FormatError, match="partition"):
