@@ -16,9 +16,18 @@ script runs against any tree.  The corpus:
   c in {0.95, 1, 1.2}, plus eval documents with repeated, boundary,
   wrong-dimension, empty, nested and one-variable points;
 - aux documents in raw, extended and verify mode, printed to stdout;
-- malformed documents (missing points or phi, mistyped c or tol).
+- norm at c on standard_ample(2) and classical(2), c in {0.9, 1.3};
+- decompose, realize, norm and pick under --feas-tol and --max-iter, and one
+  decompose document read from stdin and reported to stdout;
+- constant colligations (state space E = 0) through eval and vn, and
+  check-kernel on an indefinite kernel;
+- malformed documents: missing points or phi, mistyped c or tol, preorderings
+  of the wrong dimension, solver fields and flags out of range, seeds of the
+  wrong type, NaN, Infinity and 1e999 where a number goes, a point written
+  without its list, and Pick data sized for the wrong node count.
 Every command runs in-process through `aglerlab.cli.main`, with the output
 directory as working directory so that no report holds an absolute path.
+An exception that escapes `main` is recorded as its own outcome.
 """
 import argparse
 import contextlib
@@ -37,13 +46,14 @@ if not importlib.util.find_spec("aglerlab"):
     sys.path.insert(0, str(ROOT / "src"))
 
 from aglerlab import cli  # noqa: E402
-from aglerlab.kernels import szego_kernel  # noqa: E402
+from aglerlab.kernels import (HermitianKernel, PointSample, ones_kernel,  # noqa: E402
+                              szego_kernel)
 from aglerlab.preorder import classical, standard_ample, standard_nearly_ample  # noqa: E402
-from aglerlab.realize import FunctionSample  # noqa: E402
+from aglerlab.realize import Colligation, FunctionSample  # noqa: E402
 from aglerlab.sampling import random_points, random_transfer_sample  # noqa: E402
 from aglerlab.serialize import (array_to_json, colligation_to_json,  # noqa: E402
                                 function_sample_to_json, kernel_to_json, points_to_json,
-                                preordering_to_json, write_atomic)
+                                dumps, preordering_to_json, write_atomic)
 
 PREORDERINGS = (("classical2", classical(2), 2), ("ample2", standard_ample(2), 2),
                 ("nearly3", standard_nearly_ample(3, 0, 1), 3))
@@ -59,22 +69,31 @@ class Corpus:
         Path("runs").mkdir()
         self.exits = Counter()
 
-    def run(self, name: str, argv: list[str]) -> None:
+    def run(self, name: str, argv: list[str], stdin: str = "") -> None:
         """One in-process CLI call; its exit code, stdout and stderr go to runs/."""
         out, err = io.StringIO(), io.StringIO()
+        sys.stdin, real_stdin = io.StringIO(stdin), sys.stdin
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except Exception as exc:  # recorded, so that the corpus run goes on
                 code = f"raised {type(exc).__name__}: {exc}"
+            finally:
+                sys.stdin = real_stdin
         self.exits[code] += 1
         Path(f"runs/{name}.txt").write_text(
             f"argv: {' '.join(argv)}\nexit: {code}\n--- stdout\n{out.getvalue()}"
             f"--- stderr\n{err.getvalue()}")
 
-    def doc(self, name: str, command: list[str], doc: dict, to_stdout: bool = False):
+    def doc(self, name: str, command: list[str], doc: dict, to_stdout: bool = False,
+            replace: tuple[str, str] | None = None):
+        """Write doc, with the text `replace[0]` turned into `replace[1]` where
+        given (the way to spell NaN or 1e999), and run command on it."""
         path = f"docs/{name}.json"
-        write_atomic(path, doc)
+        if replace:
+            Path(path).write_text(dumps(doc).replace(*replace) + "\n")
+        else:
+            write_atomic(path, doc)
         argv = command + ["--input", path]
         if not to_stdout:
             argv += ["--output", f"reports/{name}.json", "--quiet"]
@@ -173,6 +192,105 @@ def malformed(corpus: Corpus) -> None:
         corpus.doc(f"malformed-{command}-tol-string", [command], {**doc, "tol": "x"})
 
 
+def norm_at_c(corpus: Corpus) -> None:
+    for pname, pre in (("ample2", standard_ample(2)), ("classical2", classical(2))):
+        for m in WIDTHS:
+            phi, _ = random_transfer_sample(np.random.default_rng([17, m]), 4, 2, m)
+            for c in (0.9, 1.3):
+                corpus.doc(f"norm-at-c-{pname}-N4m{m}-c{c}", ["norm"],
+                           {**function_sample_to_json(phi),
+                            "preordering": preordering_to_json(pre), "c": c, "tol": 1e-6})
+
+
+def two_point(pre) -> dict:
+    """A 2-point document on 0.5 phi that the default solver answers feasible."""
+    phi, _ = random_transfer_sample(np.random.default_rng(19), 2, 2)
+    return {**function_sample_to_json(FunctionSample(phi.sample, 0.5 * phi.values)),
+            "preordering": preordering_to_json(pre)}
+
+
+def flags(corpus: Corpus) -> None:
+    classical_doc, ample_doc = two_point(classical(2)), two_point(standard_ample(2))
+    phi, _ = random_transfer_sample(np.random.default_rng(23), 4, 2)
+    pick_doc = {"points": points_to_json(phi.sample),
+                "a": array_to_json(np.ones((4, 1, 1))), "b": array_to_json(0.8 * phi.values),
+                "preordering": preordering_to_json(classical(2))}
+    runs = [("decompose", classical_doc, ["--feas-tol", "1e-6"]),
+            ("decompose", classical_doc, ["--max-iter", "3"]),
+            ("decompose", classical_doc, ["--max-iter", "0"]),
+            ("realize", classical_doc, ["--feas-tol", "1e-7", "--max-iter", "100"]),
+            ("norm", {**classical_doc, "tol": 1e-4}, ["--max-iter", "40"]),
+            ("norm", {**ample_doc, "c": 0.3}, ["--feas-tol", "1e-9"]),
+            ("pick", pick_doc, ["--feas-tol", "1e-7"]),
+            ("pick", pick_doc, ["--max-iter", "2"])]
+    for i, (command, doc, flag) in enumerate(runs):
+        corpus.doc(f"flags-{i}-{command}", [command] + flag, doc)
+    corpus.run("stdin-decompose", ["decompose"], dumps(classical_doc))
+
+
+def edge_documents(corpus: Corpus) -> None:
+    """A constant contractive colligation (E = 0, W = D everywhere) through eval
+    and vn, and check-kernel on a kernel that is not even PSD."""
+    col = colligation_to_json(Colligation(np.zeros((0, 0)), np.zeros((0, 1)),
+                                          np.zeros((1, 0)), np.array([[0.5]]), (),
+                                          contractive=True))
+    corpus.doc("eval-empty-state", ["eval"],
+               {"colligation": col, "points": [[[0.1, 0.0], [0.2, 0.0]]]})
+    corpus.doc("vn-empty-state", ["vn"], {"colligation": col, "name": "kv"})
+    s = PointSample(np.array([[0.5], [-0.5]], dtype=complex))
+    corpus.doc("check-kernel-indefinite", ["check-kernel"],
+               {"kernel": kernel_to_json(HermitianKernel(s, -ones_kernel(s).blocks)),
+                "preordering": [[1]]})
+
+
+def malformed_inputs(corpus: Corpus) -> None:
+    """Documents and flags that must exit 1 with the field or flag named."""
+    classical_doc, ample_doc = two_point(classical(2)), two_point(standard_ample(2))
+    long_pre = {"preordering": [[1, 1, 1]]}
+    for command in ("decompose", "realize", "norm"):
+        corpus.doc(f"bad-{command}-preordering-dim", [command], {**ample_doc, **long_pre})
+        corpus.doc(f"bad-{command}-max-iter", [command],
+                   {**classical_doc, "solver": {"max_iter": -1}})
+        corpus.doc(f"bad-{command}-max-iter-flag", [command, "--max-iter", "-1"],
+                   classical_doc)
+    for window in (-3, 0):
+        corpus.doc(f"bad-decompose-stall-window{window}", ["decompose"],
+                   {**classical_doc, "solver": {"stall_window": window}})
+    corpus.doc("bad-decompose-stall-rtol", ["decompose"],
+               {**classical_doc, "solver": {"stall_rtol": -1.0}})
+    for tol in ("-1", "0", "nan", "inf"):
+        corpus.doc(f"bad-decompose-feas-tol-flag{tol}", ["decompose", "--feas-tol", tol],
+                   classical_doc)
+    corpus.doc("bad-decompose-ample-feas-tol-flag0", ["decompose", "--feas-tol", "0"],
+               ample_doc)
+    corpus.doc("bad-decompose-feas-tol", ["decompose"],
+               {**classical_doc, "solver": {"feas_tol": -1}})
+    for name, seed in (("float", 1.5), ("bool", True), ("string", "abc")):
+        corpus.doc(f"bad-decompose-seed-{name}", ["decompose"],
+                   {**classical_doc, "solver": {"seed": seed}})
+    # 12345.5 stands in for the token that dumps cannot write
+    for token in ("NaN", "Infinity", "-Infinity", "1e999"):
+        name = token.lower().replace("-", "minus")
+        corpus.doc(f"bad-norm-tol-{name}", ["norm"], {**ample_doc, "tol": 12345.5},
+                   replace=("12345.5", token))
+        corpus.doc(f"bad-decompose-c-{name}", ["decompose"], {**ample_doc, "c": 12345.5},
+                   replace=("12345.5", token))
+    corpus.doc("bad-decompose-phi-1e999", ["decompose"], ample_doc,
+               replace=(dumps(ample_doc["phi"][1][0][0][0]), "1e999"))
+    corpus.doc("bad-decompose-point-nan", ["decompose"], ample_doc,
+               replace=(dumps(ample_doc["points"][1][0][0]), "NaN"))
+    corpus.doc("bad-decompose-solver-rtol-nan", ["decompose"],
+               {**ample_doc, "solver": {"stall_rtol": 12345.5}}, replace=("12345.5", "NaN"))
+    rng = np.random.default_rng(29)
+    _, col = random_transfer_sample(rng, 2, 2)
+    corpus.doc("bad-eval-point-unlisted", ["eval"],
+               {"colligation": colligation_to_json(col), "points": [0.1, 0.0]})
+    one = [[[[1.0, 0.0]]]]
+    corpus.doc("bad-pick-node-count", ["pick"],
+               {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "a": one, "b": one,
+                "preordering": [[1]]})
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="new or empty directory for the corpus")
@@ -188,6 +306,10 @@ def main() -> None:
     eval_edges(corpus)
     aux(corpus)
     malformed(corpus)
+    norm_at_c(corpus)
+    flags(corpus)
+    edge_documents(corpus)
+    malformed_inputs(corpus)
     tally = ", ".join(f"{n} x {code}" for code, n in sorted(corpus.exits.items(), key=str))
     Path("summary.txt").write_text(f"{sum(corpus.exits.values())} runs; exit codes: {tally}\n")
     print(f"{sum(corpus.exits.values())} runs in {out}; exit codes: {tally}")

@@ -31,7 +31,7 @@ class PointSample:
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points must be a nonempty N x d array")
         mod = np.abs(pts)
-        if mod.max() >= 1.0:
+        if not mod.max() < 1.0:  # a NaN fails here too
             raise ValueError(f"test-function values must have modulus < 1, got {mod.max()}")
         gap = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
         dup_i, dup_j = np.nonzero(np.triu(gap < DUPLICATE_TOL, 1))
@@ -74,6 +74,8 @@ def szego_factor(sample: PointSample, lam: MultiIndex) -> np.ndarray:
     """Scalar Szego matrix prod_{i: lam_i=1} (1 - psi_i(x) conj(psi_i(y)))^{-1}."""
     if not is_zero_one(lam):
         raise ValueError(f"Szego kernel needs a 0/1 multi-index, got {lam}")
+    if len(lam) != sample.d:
+        raise ValueError(f"multi-index dimension {len(lam)} != sample dimension {sample.d}")
     pts = sample.points
     K = np.ones((sample.n_points, sample.n_points), dtype=complex)
     for i, e in enumerate(lam):

@@ -7,6 +7,7 @@ digits, and files written atomically (temp + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -50,10 +51,8 @@ def dumps(doc) -> str:
 def _emit(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    elif isinstance(obj, (bool, np.bool_)):  # numpy comparisons give np.bool_
+        out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -141,9 +140,14 @@ def json_to_array(doc, path: str = "$") -> np.ndarray:
         raise FormatError(p, "expected [re, im] pair or nested array")
     parsed = parse(doc, path)
     try:
-        return np.array(parsed, dtype=complex)
+        arr = np.array(parsed, dtype=complex)
     except ValueError as exc:
         raise FormatError(path, f"ragged complex array: {exc}") from None
+    bad = ~np.isfinite(np.stack((arr.real, arr.imag), axis=-1))
+    if bad.any():  # JSON text cannot spell these, but 1e999 parses as inf
+        raise FormatError(path + "".join(f"[{i}]" for i in np.argwhere(bad)[0]),
+                          "must be a finite number")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,8 @@ def json_to_kernel(doc, path: str = "$") -> HermitianKernel:
             raise FormatError(f"{path}.{key}", "missing field")
     sample = json_to_points(doc["points"], f"{path}.points")
     blocks = json_to_array(doc["blocks"], f"{path}.blocks")
-    m = int(doc["block_dim"])
+    m = doc["block_dim"]
+    _check_type(m, (int,), "an integer", f"{path}.block_dim")
     N = sample.n_points
     if blocks.shape != (N, N, m, m):
         raise FormatError(f"{path}.blocks",
@@ -251,13 +256,20 @@ def json_to_colligation(doc, path: str = "$") -> Colligation:
         if key not in doc:
             raise FormatError(f"{path}.{key}", "missing field")
     mats = {k: json_to_array(doc[k], f"{path}.{k}") for k in "ABCD"}
+    m = np.atleast_2d(mats["D"]).shape[0]
+    for k, shape in (("A", (0, 0)), ("B", (0, m)), ("C", (m, 0))):
+        if mats[k].size == 0:  # an empty state space (E = 0) writes A and B as []
+            mats[k] = mats[k].reshape(shape)
     part = []
     if not isinstance(doc["partition"], list):
         raise FormatError(f"{path}.partition", "must be an array")
     for i, entry in enumerate(doc["partition"]):
-        if not isinstance(entry, dict) or "lambda" not in entry or "mult" not in entry:
-            raise FormatError(f"{path}.partition[{i}]", "need lambda and mult")
-        part.append((tuple(int(v) for v in entry["lambda"]), int(entry["mult"])))
+        if (not isinstance(entry, dict) or not isinstance(entry.get("lambda"), list)
+                or not all(type(v) is int for v in entry["lambda"])
+                or type(entry.get("mult")) is not int):
+            raise FormatError(f"{path}.partition[{i}]",
+                              "need lambda, an array of integers, and an integer mult")
+        part.append((tuple(entry["lambda"]), entry["mult"]))
     try:
         return Colligation(mats["A"], mats["B"], mats["C"], mats["D"], tuple(part),
                            contractive=bool(doc.get("contractive", False)))
@@ -292,8 +304,8 @@ def tuple_to_json(T) -> dict:
 
 def json_to_tuple(doc, path: str = "$"):
     from .opmodel import CommutingTuple
-    if not isinstance(doc, dict) or "matrices" not in doc:
-        raise FormatError(path, "tuple document needs a matrices field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("matrices"), list):
+        raise FormatError(path, "tuple document needs a matrices array")
     mats = [json_to_array(M, f"{path}.matrices[{i}]") for i, M in enumerate(doc["matrices"])]
     try:
         return CommutingTuple(mats)
@@ -302,12 +314,14 @@ def json_to_tuple(doc, path: str = "$"):
 
 
 _NUMBER = ((int, float), "a number")
-_SOLVER_TYPES = {
-    "feas_tol": _NUMBER,
-    "stall_rtol": _NUMBER,
-    "max_iter": ((int,), "an integer"),
-    "stall_window": ((int,), "an integer"),
-    "force_iterative": ((bool,), "a boolean"),
+# field: (JSON types, type name, range check or None, range description)
+_SOLVER_FIELDS = {
+    "feas_tol": (*_NUMBER, lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+    "stall_rtol": (*_NUMBER, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "max_iter": ((int,), "an integer", lambda v: v >= 0, ">= 0"),
+    "stall_window": ((int,), "an integer", lambda v: v >= 1, ">= 1"),
+    "force_iterative": ((bool,), "a boolean", None, ""),
+    "seed": ((int,), "an integer", None, ""),  # accepted with no effect: reports echo --seed
 }
 
 
@@ -318,11 +332,25 @@ def _check_type(val, types, name: str, path: str) -> None:
 
 
 def json_number(doc: dict, key: str, default):
-    """Top-level doc[key] as a float, or default when the field is absent."""
+    """Top-level doc[key] as a finite float, or default when the field is absent."""
     if key not in doc:
         return default
     _check_type(doc[key], *_NUMBER, f"$.{key}")
+    if not math.isfinite(doc[key]):
+        raise FormatError(f"$.{key}", "must be a finite number")
     return float(doc[key])
+
+
+def solver_field(key: str, val, path: str):
+    """A solver parameter checked for its JSON type and range; path names it in
+    errors, as $.solver.<field> or as the command-line flag that set it."""
+    if key not in _SOLVER_FIELDS:
+        raise FormatError(path, "unknown solver parameter")
+    types, name, valid, rule = _SOLVER_FIELDS[key]
+    _check_type(val, types, name, path)
+    if valid is not None and not valid(val):
+        raise FormatError(path, f"must be {rule}")
+    return val
 
 
 def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
@@ -332,15 +360,9 @@ def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
     if not isinstance(doc, dict):
         raise FormatError(path, "solver must be an object")
     for key, val in doc.items():
-        if key == "seed":
-            int(val)  # still accepted as an integer, with no effect: reports echo --seed
-            continue
-        if key not in _SOLVER_TYPES:
-            raise FormatError(f"{path}.{key}", "unknown solver parameter")
-        _check_type(val, *_SOLVER_TYPES[key], f"{path}.{key}")
-        setattr(params, key, type(getattr(params, key))(val))
-    if params.feas_tol <= 0:
-        raise FormatError(f"{path}.feas_tol", "must be positive")
+        val = solver_field(key, val, f"{path}.{key}")
+        if key != "seed":
+            setattr(params, key, type(getattr(params, key))(val))
     return params
 
 

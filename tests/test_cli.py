@@ -3,18 +3,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aglerlab.cli import main
-from aglerlab.realize import FunctionSample
+from aglerlab.realize import Colligation, FunctionSample
 from aglerlab.sampling import random_points, random_transfer_sample
 from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
                                 kernel_to_json, points_to_json)
-from aglerlab.kernels import HermitianKernel, ones_kernel, szego_kernel
+from aglerlab.kernels import HermitianKernel, PointSample, ones_kernel, szego_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -149,12 +151,19 @@ class TestCheckKernel:
 
     def test_inadmissible_reports_witness_lambda(self, tmp_path):
         s_pts = [[[0.9, 0.0]], [[-0.9, 0.0]]]
-        from aglerlab.kernels import PointSample
         s = PointSample(np.array([[0.9 + 0j], [-0.9 + 0j]]))
         payload = {"kernel": kernel_to_json(ones_kernel(s)), "preordering": [[1]]}
         code, doc = run_cli(["check-kernel"], tmp_path, payload)
         assert code == 0 and doc["admissible"] is False
         assert doc["worst_lambda"] == [1]
+
+
+    def test_indefinite_kernel_reports_inadmissible(self, tmp_path):
+        s = PointSample(np.array([[0.5 + 0j], [-0.5 + 0j]]))
+        payload = {"kernel": kernel_to_json(HermitianKernel(s, -ones_kernel(s).blocks)),
+                   "preordering": [[1]]}
+        code, doc = run_cli(["check-kernel"], tmp_path, payload)
+        assert code == 0 and doc["admissible"] is False
 
 
 class TestAuxCommand:
@@ -212,6 +221,16 @@ class TestEvalVnBrehmer:
         assert code == 0
         assert doc["rescaled"] is True  # kv norms are exactly 1
         assert doc["bound_satisfied"] is True
+
+    def test_constant_colligation(self, tmp_path):
+        # E = 0: W = D at every point and D (x) 1 at every tuple
+        col = colligation_to_json(Colligation(np.zeros((0, 0)), np.zeros((0, 1)),
+                                              np.zeros((1, 0)), [[0.5]], (), contractive=True))
+        code, doc = run_cli(["eval"], tmp_path,
+                            {"colligation": col, "points": [[[0.1, 0.0], [0.2, 0.0]]]})
+        assert code == 0 and doc["values"] == [[[[0.5, 0.0]]]]
+        code, doc = run_cli(["vn"], tmp_path, {"colligation": col, "name": "kv"})
+        assert code == 0 and doc["norm"] == 0.5
 
     def test_brehmer(self, tmp_path):
         payload = {"name": "kv", "preordering": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -351,3 +370,119 @@ def test_pick_refuses_witness_failing_revalidation(tmp_path, capsys, monkeypatch
     code, doc = run_cli(["pick"], tmp_path, TestPickCommand.payload)
     assert code == 1 and doc is None
     assert "refusing to emit" in capsys.readouterr().err
+
+
+def _two_point(preordering):
+    """2 points under which the default solver answers 0.5 phi feasible."""
+    phi, _ = random_transfer_sample(np.random.default_rng(19), 2, 2)
+    return {**function_sample_to_json(FunctionSample(phi.sample, 0.5 * phi.values)),
+            "preordering": preordering}
+
+
+# 12345.5 stands in for a token that dumps cannot write
+@pytest.mark.parametrize("command, flags, fields, token, message", [
+    ("decompose", [], {"preordering": [[1, 1, 1]]}, None, "$.preordering: dimension 3"),
+    ("realize", [], {"preordering": [[1, 1, 1]]}, None, "$.preordering: dimension 3"),
+    ("norm", [], {"preordering": [[1, 1, 1]]}, None, "$.preordering: dimension 3"),
+    ("decompose", [], {"solver": {"max_iter": -1}}, None, "$.solver.max_iter: must be >= 0"),
+    ("norm", ["--max-iter", "-1"], {}, None, "--max-iter: must be >= 0"),
+    ("decompose", [], {"solver": {"stall_window": -3}}, None, "$.solver.stall_window"),
+    ("decompose", [], {"solver": {"stall_window": 0}}, None, "$.solver.stall_window"),
+    ("decompose", ["--feas-tol", "-1"], {}, None, "--feas-tol: must be finite and positive"),
+    ("decompose", ["--feas-tol", "0"], {"preordering": [[1, 1]]}, None, "--feas-tol"),
+    ("decompose", ["--feas-tol", "nan"], {}, None, "--feas-tol"),
+    ("pick", ["--feas-tol", "inf"], {}, None, "--feas-tol"),
+    ("decompose", [], {"solver": {"seed": 1.5}}, None, "$.solver.seed: must be an integer"),
+    ("decompose", [], {"solver": {"seed": True}}, None, "$.solver.seed: must be an integer"),
+    ("norm", [], {"tol": 12345.5}, "NaN", "NaN is not a JSON number"),
+    ("norm", [], {"tol": 12345.5}, "1e999", "$.tol: must be a finite number"),
+    ("decompose", [], {"c": 12345.5}, "1e999", "$.c: must be a finite number"),
+    ("decompose", [], {"phi": [[[[12345.5, 0.0]]], [[[0.1, 0.0]]]]}, "1e999",
+     "$.phi[0][0][0][0]: must be a finite number"),
+    ("pick", [], {"a": [[[[1.0, 0.0]]]], "b": [[[[1.0, 0.0]]]]}, None,
+     "$.a: need one matrix per node (2)"),
+    ("eval", [], {"colligation": colligation_to_json(
+        random_transfer_sample(np.random.default_rng(4), 2, 2)[1]), "points": [0.1, 0.0]},
+     None, "$.points: expected an array of points"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
+                                         capsys):
+    doc = _two_point([[1, 0], [0, 1]])
+    if command == "pick":
+        doc = {"points": doc["points"], "a": [[[[1.0, 0.0]]]] * 2, "b": doc["phi"],
+               "preordering": doc["preordering"]}
+    doc.update(fields)
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(dumps(doc).replace("12345.5", token or "12345.5"))
+    code = main([command, "--input", str(inp), "--output", str(out), "--quiet"] + flags)
+    assert code == 1 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def _valid_documents() -> dict:
+    """One small valid document per command, N <= 4 points."""
+    rng = np.random.default_rng(21)
+    phi, col = random_transfer_sample(rng, 3, 2)
+    s = phi.sample
+    sample_doc = {**function_sample_to_json(FunctionSample(s, 0.9 * phi.values)),
+                  "preordering": [[1, 0], [0, 1]], "c": 1.0, "tol": 1e-4,
+                  "solver": {"feas_tol": 1e-8, "max_iter": 200, "stall_window": 5,
+                             "stall_rtol": 1e-12, "force_iterative": False, "seed": 1}}
+    col3 = colligation_to_json(random_transfer_sample(rng, 2, 3)[1])
+    return {
+        "check-kernel": {"kernel": kernel_to_json(szego_kernel(s, (1, 1))),
+                         "preordering": [[1, 1]], "tol": 1e-10},
+        "aux": {"points": points_to_json(s), "lambda": [1, 1], "mode": "extended",
+                "preordering": [[1, 1]]},
+        "decompose": sample_doc,
+        "realize": {**sample_doc, "preordering": [[1, 1]]},
+        "eval": {"colligation": colligation_to_json(col), "points": points_to_json(s)},
+        "norm": sample_doc,
+        "brehmer": {"tuple": {"matrices": [[[[0.5, 0.0]]], [[[0.25, 0.0]]]]},
+                    "preordering": [[1, 1]], "tol": 1e-10},
+        "vn": {"colligation": col3, "name": "kv"},
+        "pick": {"points": points_to_json(s), "a": [[[[1.0, 0.0]]]] * 3,
+                 "b": function_sample_to_json(FunctionSample(s, 0.8 * phi.values))["phi"],
+                 "preordering": [[1, 0], [0, 1]], "solver": {"max_iter": 200}},
+    }
+
+
+_VALID = _valid_documents()
+# JSON values of the wrong type, zero or negative integers, and non-finite numbers;
+# "1e999" is spelled out in the text, where json.loads reads it as inf
+_REPLACEMENTS = ["x", True, None, {}, [], 0, -1, -3, 1.5, float("nan"), float("inf"),
+                 "1e999"]
+
+
+@st.composite
+def _mutated_document(draw):
+    command = draw(st.sampled_from(sorted(_VALID)))
+    root = {"": json.loads(json.dumps(_VALID[command]))}
+    parent, key = root, ""
+    while True:  # walk down to the field or entry to mutate
+        node = parent[key]
+        keys = list(node) if isinstance(node, dict) else range(len(node)) \
+            if isinstance(node, list) else []
+        if not keys or (key != "" and draw(st.booleans())):
+            break
+        parent, key = node, draw(st.sampled_from(keys))
+    action = draw(st.sampled_from(["drop", "replace", "grow"] if key != "" else ["replace"]))
+    if action == "drop":  # a missing field, or one entry fewer
+        del parent[key]
+    elif action == "grow" and isinstance(parent, list):  # one entry more
+        parent.append(parent[key])
+    else:
+        parent[key] = draw(st.sampled_from(_REPLACEMENTS))
+    return command, json.dumps(root[""]).replace('"1e999"', "1e999")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_mutated_document())
+def test_mutated_documents_exit_with_a_code(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        inp.write_text(text)
+        code = main([command, "--input", str(inp), "--output", str(out), "--quiet"])
+        assert code in (0, 1, 2, 3)
+        assert out.exists() == (code != 1)

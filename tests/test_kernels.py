@@ -19,6 +19,8 @@ class TestPointSample:
     def test_modulus_validation(self):
         with pytest.raises(ValueError, match="modulus"):
             PointSample(np.array([[1.0 + 0j]]))
+        with pytest.raises(ValueError, match="modulus"):
+            PointSample(np.array([[0.5 + 0j], [complex(np.nan, 0.0)]]))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -108,6 +110,12 @@ class TestSzego:
         s = random_points(np.random.default_rng(8), 2, 1)
         with pytest.raises(ValueError):
             szego_kernel(s, (2,))
+
+    def test_rejects_wrong_dimension(self):
+        s = random_points(np.random.default_rng(8), 2, 2)
+        for lam in ((1, 1, 1), (1,)):
+            with pytest.raises(ValueError, match="dimension"):
+                szego_kernel(s, lam)
 
 
 class TestPsdCheck:

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from aglerlab.kernels import szego_kernel
 from aglerlab.preorder import Preordering, classical
-from aglerlab.realize import agler_decompose, lurking_isometry
+from aglerlab.realize import Colligation, agler_decompose, lurking_isometry
 from aglerlab.sampling import random_points, random_transfer_sample
 from aglerlab.serialize import (FormatError, array_to_json, colligation_to_json, dumps,
                                 json_to_array, json_to_colligation, json_to_kernel,
@@ -96,6 +96,14 @@ class TestColligation:
         with pytest.raises(FormatError, match="partition"):
             json_to_colligation({"A": [], "B": [], "C": [], "D": [[[1.0, 0.0]]]})
 
+    def test_empty_state_space_roundtrip(self):
+        col = Colligation(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                          0.5 * np.eye(2), (), contractive=True)
+        back = json_to_colligation(json.loads(dumps(colligation_to_json(col))))
+        assert (back.A.shape, back.B.shape, back.C.shape) == ((0, 0), (0, 2), (2, 0))
+        assert np.array_equal(back.D, col.D) and back.contractive
+        assert dumps(colligation_to_json(back)) == dumps(colligation_to_json(col))
+
 
 class TestResults:
     def test_decompose_result_roundtrip(self):
@@ -166,6 +174,28 @@ class TestSolverParams:
         for bad in (True, False, "1e-6", None):
             with pytest.raises(FormatError, match=rf"\.{key}: must be a number"):
                 solver_params_from_json({key: bad})
+
+
+    @pytest.mark.parametrize("key, bad", [("feas_tol", 0), ("feas_tol", -1.0),
+                                          ("feas_tol", float("inf")), ("max_iter", -1),
+                                          ("stall_window", 0), ("stall_window", -3),
+                                          ("stall_rtol", -1e-12),
+                                          ("stall_rtol", float("nan"))])
+    def test_out_of_range(self, key, bad):
+        with pytest.raises(FormatError, match=rf"^\$\.solver\.{key}: must be .*(>=|positive)"):
+            solver_params_from_json({key: bad})
+
+    @pytest.mark.parametrize("bad", [1.5, True, "abc", None])
+    def test_seed_must_be_an_integer(self, bad):
+        with pytest.raises(FormatError, match=r"^\$\.solver\.seed: must be an integer"):
+            solver_params_from_json({"seed": bad})
+
+
+def test_arrays_must_be_finite():
+    assert json_to_array([[1, 0], [0.5, -2]]).tolist() == [1, 0.5 - 2j]
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(FormatError, match=r"^\$\.x\[1\]\[1\]: must be a finite"):
+            json_to_array([[1.0, 0.0], [0.5, bad]], "$.x")
 
 
 class TestAtomicWrite:
