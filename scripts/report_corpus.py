@@ -15,7 +15,8 @@ script runs against any tree.  The corpus:
   standard_nearly_ample(3,0,1) at N in {4, 5, 8}, m in {1, 2} and
   c in {0.95, 1, 1.2}, plus eval documents with repeated, boundary,
   wrong-dimension, empty, nested and one-variable points;
-- aux documents in raw, extended and verify mode, printed to stdout;
+- aux documents in raw, extended and verify mode, printed to stdout, with
+  extended ones at d = 2, N = 4 and at d = 3, N in {5, 8};
 - norm at c on standard_ample(2) and classical(2), c in {0.9, 1.3};
 - decompose, realize, norm and pick under --feas-tol and --max-iter, and one
   decompose document read from stdin and reported to stdout;
@@ -24,10 +25,13 @@ script runs against any tree.  The corpus:
 - malformed documents: missing points or phi, mistyped c or tol, preorderings
   of the wrong dimension, solver fields and flags out of range, seeds of the
   wrong type, NaN, Infinity and 1e999 where a number goes, a point written
-  without its list, and Pick data sized for the wrong node count.
+  without its list, Pick data sized for the wrong node count, and negative
+  and zero tolerances;
+- command lines that argparse refuses: a mistyped --max-iter, an unknown
+  command and an unknown flag.
 Every command runs in-process through `aglerlab.cli.main`, with the output
 directory as working directory so that no report holds an absolute path.
-An exception that escapes `main` is recorded as its own outcome.
+An exception or SystemExit that escapes `main` is recorded as its own outcome.
 """
 import argparse
 import contextlib
@@ -76,7 +80,7 @@ class Corpus:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
-            except Exception as exc:  # recorded, so that the corpus run goes on
+            except (Exception, SystemExit) as exc:  # recorded, so that the corpus run goes on
                 code = f"raised {type(exc).__name__}: {exc}"
             finally:
                 sys.stdin = real_stdin
@@ -171,6 +175,13 @@ def aux(corpus: Corpus) -> None:
         corpus.doc(f"aux-extended-{''.join(map(str, lam))}", ["aux"],
                    {"points": points_to_json(s2), "lambda": lam, "mode": "extended",
                     "preordering": [[1, 1]]}, to_stdout=True)
+    rng = np.random.default_rng(31)
+    for N in (5, 8):
+        s = random_points(rng, N, 3)
+        for lam in ([1, 1, 1], [1, 0, 1]):
+            corpus.doc(f"aux-extended-d3-N{N}-{''.join(map(str, lam))}", ["aux"],
+                       {"points": points_to_json(s), "lambda": lam, "mode": "extended",
+                        "preordering": [[1, 1, 1]]}, to_stdout=True)
     corpus.doc("aux-verify", ["aux"],
                {"points": points_to_json(s2), "lambda": [1, 1], "mode": "verify",
                 "kernel": kernel_to_json(szego_kernel(s2, (1, 1)))}, to_stdout=True)
@@ -190,6 +201,8 @@ def malformed(corpus: Corpus) -> None:
     for command, doc in others.items():
         corpus.doc(f"malformed-{command}-tol-false", [command], {**doc, "tol": False})
         corpus.doc(f"malformed-{command}-tol-string", [command], {**doc, "tol": "x"})
+        corpus.doc(f"malformed-{command}-tol-negative", [command], {**doc, "tol": -1})
+        corpus.doc(f"{command}-tol-zero", [command], {**doc, "tol": 0})
 
 
 def norm_at_c(corpus: Corpus) -> None:
@@ -289,6 +302,9 @@ def malformed_inputs(corpus: Corpus) -> None:
     corpus.doc("bad-pick-node-count", ["pick"],
                {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "a": one, "b": one,
                 "preordering": [[1]]})
+    for name, argv in (("max-iter-abc", ["decompose", "--max-iter", "abc"]),
+                       ("unknown-command", ["bogus"]), ("unknown-flag", ["decompose", "--nope"])):
+        corpus.run(f"usage-{name}", argv)
 
 
 def main() -> None:

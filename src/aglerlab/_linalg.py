@@ -15,6 +15,18 @@ def hermitize_stack(G: np.ndarray) -> np.ndarray:
     return (G + np.swapaxes(G.conj(), -1, -2)) / 2
 
 
+def block_diag(blocks) -> np.ndarray:
+    """Complex matrix with the 2-D blocks down its diagonal, in order, and zeros
+    elsewhere; a (k, r, c) array is k blocks, and no blocks give a 0 x 0 matrix."""
+    shapes = [b.shape for b in blocks]
+    out = np.zeros((sum(h for h, _ in shapes), sum(w for _, w in shapes)), dtype=complex)
+    r = c = 0
+    for b, (h, w) in zip(blocks, shapes):
+        out[r:r + h, c:c + w] = b
+        r, c = r + h, c + w
+    return out
+
+
 def min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(M)).min())
 

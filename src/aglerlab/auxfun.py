@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_TOL, hermitian_sqrt, min_eig,
+from ._linalg import (DEFAULT_TOL, block_diag, hermitian_sqrt, min_eig,
                       orthonormal_range, spectral_norm)
 from .kernels import HermitianKernel, PointSample, defect_factor, szego_factor
 from .preorder import MultiIndex, Preordering, classify, parity_split
@@ -162,16 +162,13 @@ def extend_aux_finite(sample: PointSample, lam: MultiIndex,
         raise ValueError(f"finite-stage extension needs an ample preordering, got {cls.kind}")
     lam_m = cls.lambda_max
     rows = psi_rows(sample, lam)
-    aux_raw = aux_function(sample, lam)
     N, n = rows.plus.shape
 
     ks = szego_factor(sample, lam_m)
     kF = np.kron(ks, np.eye(n))
     kappa, kappa_inv = hermitian_sqrt(kF, tol)
 
-    Psip = np.zeros((N, N * n), dtype=complex)
-    for x in range(N):
-        Psip[x, x * n:(x + 1) * n] = rows.plus[x]
+    Psip = block_diag(rows.plus[:, None, :])
     gram = Psip @ Psip.conj().T
     P_plus = Psip.conj().T @ np.linalg.solve(gram, Psip)
 
@@ -179,9 +176,7 @@ def extend_aux_finite(sample: PointSample, lam: MultiIndex,
     basis = orthonormal_range(Q.conj().T, tol)
     P_ranQs = basis @ basis.conj().T
 
-    sigF = np.zeros((N * n, N * n), dtype=complex)
-    for x in range(N):
-        sigF[x * n:(x + 1) * n, x * n:(x + 1) * n] = aux_raw.sigmas[x]
+    sigF = block_diag(raw_sigmas(sample.points, rows.lam))
 
     G = P_ranQs @ kappa_inv @ sigF @ kappa
     norm_G = spectral_norm(G)
@@ -196,24 +191,17 @@ def extend_aux_finite(sample: PointSample, lam: MultiIndex,
 
     # per-point compressions through the singleton restriction of the stage:
     # sigma~(x) = kappa_x G kappa_x^* / k_s(x,x), a contraction
-    sigmas = np.zeros((N, n, n), dtype=complex)
-    boundary = []
-    for x in range(N):
-        row = kappa[x * n:(x + 1) * n, :]
-        sigmas[x] = row @ G @ row.conj().T / ks[x, x].real
-        if spectral_norm(sigmas[x]) >= 1 - 1e-9:
-            boundary.append(x)
-
-    pointwise = np.zeros((N * n, N * n), dtype=complex)
-    for x in range(N):
-        for y in range(N):
-            pointwise[x * n:(x + 1) * n, y * n:(y + 1) * n] = ks[x, y] * (
-                np.eye(n) - sigmas[x] @ sigmas[y].conj().T)
-    pointwise_eig = min_eig(pointwise)
-
+    kx = kappa.reshape(N, n, N * n)  # kappa_x: rows x*n..(x+1)*n
+    sigmas = kx @ G @ kx.conj().transpose(0, 2, 1) / ks.diagonal().real[:, None, None]
     ext = AuxFunctionSample(sample, rows.lam, sigmas, "extended")
-    return FiniteStageExtension(ext, lam_m, norm_G, res8, defect_eig,
-                                pointwise_eig, S, tuple(boundary))
+    boundary = tuple(np.flatnonzero(ext.norms() >= 1 - 1e-9).tolist())
+
+    # k_s enters as an array, not as a HermitianKernel: near the torus the round-off
+    # of 1 / (1 - z conj(w)) exceeds that class's Hermitian check
+    contact = np.eye(n) - sigmas[:, None] @ sigmas.conj().transpose(0, 2, 1)[None]
+    pointwise = np.kron(ks, np.ones((n, n))) * HermitianKernel(sample, contact).assembled()
+    return FiniteStageExtension(ext, lam_m, norm_G, res8, defect_eig, min_eig(pointwise), S,
+                                boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -51,8 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reject_constant(name: str):
-    raise FormatError("$", f"{name} is not a JSON number")
+def _reject_constant(name: str, text: str):
+    """parse_constant hook: NaN, Infinity and -Infinity are not JSON.  The decoder
+    does not say where it stands; everything before decoded, so it stands at the
+    first such token outside a string."""
+    tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)', text)
+    pos = next(token.start(1) for token in tokens if token.group(1))
+    raise json.JSONDecodeError(f"{name} is not a JSON number", text, pos)
 
 
 def _read_input(args) -> dict:
@@ -67,7 +73,7 @@ def _read_input(args) -> dict:
     if not text.strip():
         raise FormatError("$", "empty input document")
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=lambda name: _reject_constant(name, text))
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
     if not isinstance(doc, dict):
@@ -297,7 +303,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         doc = {} if args.command == "example" else _read_input(args)
         body, code = COMMANDS[args.command][0](doc, args)

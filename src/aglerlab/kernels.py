@@ -143,11 +143,7 @@ def ones_kernel(sample: PointSample, m: int = 1) -> HermitianKernel:
 
 def diagonal_kernel(sample: PointSample, m: int = 1) -> HermitianKernel:
     """Identity blocks on the diagonal, zero off: the sup-norm comparison kernel."""
-    N = sample.n_points
-    blocks = np.zeros((N, N, m, m), dtype=complex)
-    for x in range(N):
-        blocks[x, x] = np.eye(m)
-    return HermitianKernel(sample, blocks)
+    return scalar_schur(ones_kernel(sample, m), np.eye(sample.n_points))
 
 
 def schur_product(K1: HermitianKernel, K2: HermitianKernel) -> HermitianKernel:

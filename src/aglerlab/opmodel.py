@@ -189,19 +189,9 @@ def eval_colligation_at_tuple(col: Colligation, T: CommutingTuple) -> np.ndarray
             raise ValueError("partition dimension != tuple dimension")
     if not T.is_strict():
         raise ValueError("tuple evaluation needs max_j |T_j| < 1")
-    q, m, E = T.q, col.output_dim, col.state_dim
-    S = np.zeros((E * q, E * q), dtype=complex)
-    off = 0
-    for lam, mult in col.partition:
-        Tj = T.matrices[units[lam]]
-        for _ in range(mult):
-            S[off:off + q, off:off + q] = Tj
-            off += q
-    Aq = np.kron(col.A, np.eye(q))
-    Bq = np.kron(col.B, np.eye(q))
-    Cq = np.kron(col.C, np.eye(q))
-    Dq = np.kron(col.D, np.eye(q))
-    return Dq + Cq @ S @ np.linalg.solve(np.eye(E * q) - Aq @ S, Bq)
+    S = col.state_operator([T.matrices[units[lam]] for lam, _ in col.partition])
+    Aq, Bq, Cq, Dq = (np.kron(X, np.eye(T.q)) for X in (col.A, col.B, col.C, col.D))
+    return Dq + Cq @ S @ np.linalg.solve(np.eye(len(S)) - Aq @ S, Bq)
 
 
 # ---------------------------------------------------------------------------

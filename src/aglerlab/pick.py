@@ -81,15 +81,12 @@ def sigma_model_min_eig(problem: PickProblem, sigma_ext: AuxFunctionSample) -> f
     """
     if sigma_ext.sample != problem.nodes:
         raise ValueError("extended sigma sample must live on the node set")
-    N, n = problem.nodes.n_points, sigma_ext.n
-    R = problem.target_blocks()
-    m = problem.m
-    big = np.zeros((N * m * n, N * m * n), dtype=complex)
-    for x in range(N):
-        for y in range(N):
-            ksig = np.linalg.inv(np.eye(n) - sigma_ext.sigmas[x] @ sigma_ext.sigmas[y].conj().T)
-            big[x * m * n:(x + 1) * m * n, y * m * n:(y + 1) * m * n] = np.kron(R[x, y], ksig)
-    return min_eig(big)
+    s = sigma_ext.sigmas
+    ksig = np.linalg.inv(np.eye(sigma_ext.n) - s[:, None] @ s.conj().transpose(0, 2, 1)[None])
+    # blocks R(x, y) (x) ksig(x, y) laid out as one matrix; not a schur_product,
+    # whose Hermitian check refuses the round-off of ksig near the torus
+    k = problem.nodes.n_points * problem.m * sigma_ext.n
+    return min_eig(np.einsum("xyij,xykl->xikyjl", problem.target_blocks(), ksig).reshape(k, k))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_TOL, hermitian_sqrt, hermitize, hermitize_stack,
+from ._linalg import (DEFAULT_TOL, block_diag, hermitian_sqrt, hermitize, hermitize_stack,
                       polar_isometry, psd_clip, spectral_norm)
 from .auxfun import psi_rows, raw_sigmas
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
@@ -600,6 +600,11 @@ class Colligation:
         bot = np.hstack([self.C, self.D])
         return np.vstack([top, bot])
 
+    def state_operator(self, blocks) -> np.ndarray:
+        """The E x E state operator: mult copies of each partition entry's block."""
+        return block_diag([blk for blk, (_, mult) in zip(blocks, self.partition)
+                           for _ in range(mult)])
+
 
 def eval_transfer(col: Colligation, points) -> np.ndarray:
     """W(x) = D + C S(x) (1 - A S(x))^{-1} B at each row x of an (N, d)
@@ -616,15 +621,9 @@ def eval_transfer(col: Colligation, points) -> np.ndarray:
     E = col.state_dim
     if E == 0 or N == 0:
         return W
-    sigmas = [(raw_sigmas(pts, lam), mult) for lam, mult in col.partition]
-    S = np.zeros((E, E), dtype=complex)  # off-diagonal blocks stay zero
+    sigmas = [raw_sigmas(pts, lam) for lam, _ in col.partition]
     for x in range(N):
-        off = 0
-        for sig, mult in sigmas:
-            n = sig.shape[1]
-            for _ in range(mult):
-                S[off:off + n, off:off + n] = sig[x]
-                off += n
+        S = col.state_operator([sig[x] for sig in sigmas])
         W[x] = col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
     return W
 
@@ -720,7 +719,7 @@ def transfer_compose(c1: Colligation, c2: Colligation, mode: str = "product",
         if not 0 <= t <= 1:
             raise ValueError("convex weight must be in [0, 1]")
         rt, rs = np.sqrt(t), np.sqrt(1 - t)
-        A = np.block([[A1, np.zeros((E1, E2))], [np.zeros((E2, E1)), A2]])
+        A = block_diag([A1, A2])
         B = np.vstack([rt * B1, rs * B2])
         C = np.hstack([rt * C1, rs * C2])
         D = t * D1 + (1 - t) * D2

@@ -332,12 +332,15 @@ def _check_type(val, types, name: str, path: str) -> None:
 
 
 def json_number(doc: dict, key: str, default):
-    """Top-level doc[key] as a finite float, or default when the field is absent."""
+    """Top-level doc[key] as a finite float, or default when the field is absent;
+    a tolerance, key "tol", must also be >= 0."""
     if key not in doc:
         return default
     _check_type(doc[key], *_NUMBER, f"$.{key}")
     if not math.isfinite(doc[key]):
         raise FormatError(f"$.{key}", "must be a finite number")
+    if key == "tol" and doc[key] < 0:
+        raise FormatError("$.tol", "must be finite and >= 0")
     return float(doc[key])
 
 

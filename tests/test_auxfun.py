@@ -1,13 +1,15 @@
 """Even/odd rows, auxiliary sigma functions, finite-stage extension, domains."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aglerlab._linalg import hermitian_sqrt, min_eig, orthonormal_range, spectral_norm
 from aglerlab.auxfun import (aux_function, builtin_domain, extend_aux_finite,
                              psi_rows, raw_sigmas,
                              verify_defect_identity)
 from aglerlab.kernels import (HermitianKernel, PointSample, defect_factor,
-                              ones_kernel, szego_kernel)
-from aglerlab.preorder import Preordering, standard_ample
+                              ones_kernel, szego_factor, szego_kernel)
+from aglerlab.preorder import Preordering, classify, standard_ample
 from aglerlab.sampling import random_points, random_psd_kernel
 
 
@@ -212,3 +214,89 @@ def test_extension_weight_one_recovers_test_function():
     for x in range(3):
         assert ext.aux.sigmas[x].shape == (1, 1)
     assert ext.identity_residual < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the finite-stage extension with its block matrices
+# laid out by hand, as before block_diag and the kernel layer built them; the
+# package must reproduce it bit for bit
+
+
+def ref_extend_aux_finite(sample, lam, preordering, tol=1e-10):
+    lam_m = classify(preordering).lambda_max
+    rows = psi_rows(sample, lam)
+    aux_raw = aux_function(sample, lam)
+    N, n = rows.plus.shape
+    ks = szego_factor(sample, lam_m)
+    kF = np.kron(ks, np.eye(n))
+    kappa, kappa_inv = hermitian_sqrt(kF, tol)
+    Psip = np.zeros((N, N * n), dtype=complex)
+    for x in range(N):
+        Psip[x, x * n:(x + 1) * n] = rows.plus[x]
+    P_plus = Psip.conj().T @ np.linalg.solve(Psip @ Psip.conj().T, Psip)
+    basis = orthonormal_range((kappa_inv @ P_plus @ kappa).conj().T, tol)
+    sigF = np.zeros((N * n, N * n), dtype=complex)
+    for x in range(N):
+        sigF[x * n:(x + 1) * n, x * n:(x + 1) * n] = aux_raw.sigmas[x]
+    G = basis @ basis.conj().T @ kappa_inv @ sigF @ kappa
+    norm_G = spectral_norm(G)
+    if norm_G > 1 + 1e-9:
+        raise ArithmeticError(f"completion norm {norm_G} exceeds 1: construction broke")
+    S = kappa @ G @ kappa_inv
+    lhs = Psip @ (kF - S @ kF @ S.conj().T) @ Psip.conj().T
+    rhs = Psip @ (kF - sigF @ kF @ sigF.conj().T) @ Psip.conj().T
+    sigmas = np.zeros((N, n, n), dtype=complex)
+    boundary = []
+    for x in range(N):
+        row = kappa[x * n:(x + 1) * n, :]
+        sigmas[x] = row @ G @ row.conj().T / ks[x, x].real
+        if spectral_norm(sigmas[x]) >= 1 - 1e-9:
+            boundary.append(x)
+    pointwise = np.zeros((N * n, N * n), dtype=complex)
+    for x in range(N):
+        for y in range(N):
+            pointwise[x * n:(x + 1) * n, y * n:(y + 1) * n] = ks[x, y] * (
+                np.eye(n) - sigmas[x] @ sigmas[y].conj().T)
+    return {"sigmas": sigmas, "stage_operator": S, "completion_norm": norm_G,
+            "identity_residual": float(np.abs(lhs - rhs).max()),
+            "defect_min_eig": min_eig(kF - S @ kF @ S.conj().T),
+            "pointwise_defect_min_eig": min_eig(pointwise), "boundary_points": tuple(boundary)}
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def near_torus_sample(rng, n_points, d, edge):
+    """Random points of modulus < 0.9, one coordinate moved to modulus edge if given."""
+    pts = random_points(rng, n_points, d, rmax=0.9).points.copy()
+    if edge is not None:
+        pts[rng.integers(n_points), rng.integers(d)] = edge * np.exp(2j * np.pi * rng.uniform())
+    return PointSample(pts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), n_points=st.integers(1, 6),
+       edge=st.sampled_from([None, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_extend_aux_finite_matches_hand_laid_reference(d, n_points, edge, seed):
+    # lam runs over the nonzero 0/1 sub-indices of lambda_max = (1, ..., 1); a point
+    # near the torus puts sigma~ on the boundary or breaks the construction
+    rng = np.random.default_rng(seed)
+    lam = tuple(int(v) for v in rng.integers(0, 2, d))
+    lam = lam if any(lam) else (1,) * d
+    s = near_torus_sample(rng, n_points, d, edge)
+    kind, got = _outcome(lambda: extend_aux_finite(s, lam, standard_ample(d)))
+    ref_kind, ref = _outcome(lambda: ref_extend_aux_finite(s, lam, standard_ample(d)))
+    assert kind == ref_kind
+    if kind != "value":
+        assert got == ref
+        return
+    assert np.array_equal(got.aux.sigmas, ref["sigmas"])
+    assert got.boundary_points == ref["boundary_points"]
+    for key in ("stage_operator", "completion_norm", "identity_residual", "defect_min_eig",
+                "pointwise_defect_min_eig"):
+        assert np.array_equal(getattr(got, key), ref[key]), key

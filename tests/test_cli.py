@@ -404,6 +404,12 @@ def _two_point(preordering):
     ("eval", [], {"colligation": colligation_to_json(
         random_transfer_sample(np.random.default_rng(4), 2, 2)[1]), "points": [0.1, 0.0]},
      None, "$.points: expected an array of points"),
+    ("check-kernel", [], {"kernel": kernel_to_json(szego_kernel(
+        PointSample(np.array([[0.5], [-0.5]])), (1,))), "preordering": [[1]], "tol": -1},
+     None, "$.tol: must be finite and >= 0"),
+    ("brehmer", [], {"name": "kv", "preordering": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     "tol": -1e-300}, None, "$.tol: must be finite and >= 0"),
+    ("norm", [], {"tol": -1}, None, "$.tol: must be finite and >= 0"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):
@@ -417,6 +423,43 @@ def test_malformed_input_names_the_field(command, flags, fields, token, message,
     code = main([command, "--input", str(inp), "--output", str(out), "--quiet"] + flags)
     assert code == 1 and not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--max-iter", "abc"], "argument --max-iter: invalid int value: 'abc'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["decompose", "--nope"], "unrecognized arguments: --nope"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decompose", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: agler-lab")
+
+
+_AMPLE = _two_point([[1, 1]])
+
+
+@pytest.mark.parametrize("command, text, token", [
+    # the corpus documents bad-norm-tol-nan and bad-decompose-point-nan
+    ("norm", dumps({**_AMPLE, "tol": 12345.5}).replace("12345.5", "NaN"), "NaN"),
+    ("decompose", dumps(_AMPLE).replace(dumps(_AMPLE["points"][1][0][0]), "NaN"), "NaN"),
+    # a token inside a string is not the one the decoder met
+    ("check-kernel", '{"note": "NaN \\" Infinity",\n "tol":\n  -Infinity}', "-Infinity"),
+], ids=["bad-norm-tol-nan", "bad-decompose-point-nan", "token-in-string-first"])
+def test_nonfinite_constant_is_located(command, text, token, tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    assert main([command, "--input", str(inp), "--quiet"]) == 1
+    pos = text.rindex(token)  # the last: the token occurs once outside a string
+    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    assert capsys.readouterr().err == (f"error: line {line} column {column}: "
+                                       f"{token} is not a JSON number\n")
 
 
 def _valid_documents() -> dict:

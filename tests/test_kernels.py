@@ -2,6 +2,7 @@
 subordination, Kolmogorov factorization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aglerlab.kernels import (HermitianKernel, PointSample, diagonal_kernel,
                               defect_factor, is_admissible, is_subordinate,
@@ -268,3 +269,14 @@ def test_assembled_block_layout():
     assert np.allclose(A[0:2, 2:4], blocks[0, 1])
     back = HermitianKernel.from_assembled(s, A)
     assert np.allclose(back.blocks, blocks)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), n_points=st.integers(1, 6), m=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diagonal_kernel_matches_per_point_reference(d, n_points, m, seed):
+    s = random_points(np.random.default_rng(seed), n_points, d)
+    blocks = np.zeros((n_points, n_points, m, m), dtype=complex)
+    for x in range(n_points):
+        blocks[x, x] = np.eye(m)
+    assert np.array_equal(diagonal_kernel(s, m).blocks, blocks)

@@ -1,6 +1,7 @@
 """Commuting tuples, hereditary calculus, boundary examples, von Neumann."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aglerlab.opmodel import (CommutingTuple, TestPolynomial, builtin_tuple,
                               commutant_dimension, dilation_check,
@@ -353,3 +354,42 @@ class TestCommutantDimension:
         assert builtin_tuple("kv").q == 6
         with pytest.raises(ValueError, match="unknown tuple"):
             builtin_tuple("nope")
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the state operator S_T laid out block by block, as
+# before Colligation.state_operator; W(T) must match it bit for bit
+
+
+def ref_eval_colligation_at_tuple(col, T):
+    q, E = T.q, col.state_dim
+    S = np.zeros((E * q, E * q), dtype=complex)
+    off = 0
+    for lam, mult in col.partition:
+        Tj = T.matrices[lam.index(1)]
+        for _ in range(mult):
+            S[off:off + q, off:off + q] = Tj
+            off += q
+    Aq = np.kron(col.A, np.eye(q))
+    Bq = np.kron(col.B, np.eye(q))
+    Cq = np.kron(col.C, np.eye(q))
+    Dq = np.kron(col.D, np.eye(q))
+    return Dq + Cq @ S @ np.linalg.solve(np.eye(E * q) - Aq @ S, Bq)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), m=st.sampled_from([1, 2]), q=st.integers(1, 4),
+       mults=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_colligation_at_tuple_matches_per_block_reference(d, m, q, mults, seed):
+    # the coordinates enter the partition in a random order; E = 0 when every
+    # multiplicity is 0
+    rng = RNG(seed)
+    partition = tuple((unit(d, int(j)), mult) for j, mult in zip(rng.permutation(d), mults))
+    E = sum(mult for _, mult in partition)
+    U = random_unitary(rng, E + m)
+    col = Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
+    T = random_strict_tuple(rng, d, q)
+    got = eval_colligation_at_tuple(col, T)
+    assert got.shape == (m * q, m * q)
+    assert np.array_equal(got, ref_eval_colligation_at_tuple(col, T))

@@ -1,8 +1,10 @@
 """Tangential interpolation: feasibility, synthesis, corona, cross-checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aglerlab.auxfun import extend_aux_finite, monomial_rows
+from aglerlab._linalg import min_eig
+from aglerlab.auxfun import aux_function, extend_aux_finite, monomial_rows
 from aglerlab.kernels import PointSample
 from aglerlab.pick import (PickProblem, classical_pick_matrix, corona_right_inverse,
                            pick_feasible, pick_solve, pointwise_right_inverse,
@@ -228,3 +230,44 @@ def test_classical_bidisk_infeasible_with_witness():
                         SolverParams(max_iter=40_000))
     assert out.status == "infeasible"
     assert out.witness is not None and out.witness.pairing < 0
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the sigma-model matrix laid out block by block, as
+# before schur_product built it
+
+
+def ref_sigma_model_min_eig(problem, sigma_ext):
+    N, n, m = problem.nodes.n_points, sigma_ext.n, problem.m
+    R = problem.target_blocks()
+    big = np.zeros((N * m * n, N * m * n), dtype=complex)
+    for x in range(N):
+        for y in range(N):
+            ksig = np.linalg.inv(np.eye(n) - sigma_ext.sigmas[x] @ sigma_ext.sigmas[y].conj().T)
+            big[x * m * n:(x + 1) * m * n, y * m * n:(y + 1) * m * n] = np.kron(R[x, y], ksig)
+    return min_eig(big), np.abs(big).max()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), m=st.sampled_from([1, 2]), n_points=st.integers(1, 6),
+       edge=st.sampled_from([None, 1 - 1e-6, 1 - 1e-10]), extended=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sigma_model_min_eig_matches_blockwise_reference(d, m, n_points, edge, extended, seed):
+    # the batched inverse and kron may round differently: 1e-12 x scale
+    rng = RNG(seed)
+    lam = tuple(int(v) for v in rng.integers(0, 2, d))
+    lam = lam if any(lam) else (1,) * d
+    pts = random_points(rng, n_points, d, rmax=0.9).points.copy()
+    if edge is not None:  # one coordinate near the torus
+        pts[rng.integers(n_points), rng.integers(d)] = edge * np.exp(2j * np.pi * rng.uniform())
+    nodes = PointSample(pts)
+    try:
+        sigma = (extend_aux_finite(nodes, lam, standard_ample(d)).aux if extended
+                 else aux_function(nodes, lam))
+    except ArithmeticError:  # the finite-stage construction broke down near the torus
+        return
+    a, b = (rng.normal(size=(n_points, m, m)) + 1j * rng.normal(size=(n_points, m, m))
+            for _ in range(2))
+    problem = PickProblem(nodes, a, b, standard_ample(d))
+    ref, scale = ref_sigma_model_min_eig(problem, sigma)
+    assert abs(sigma_model_min_eig(problem, sigma) - ref) <= 1e-12 * scale
