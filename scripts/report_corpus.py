@@ -18,6 +18,8 @@ script runs against any tree.  The corpus:
 - aux documents in raw, extended and verify mode, printed to stdout, with
   extended ones at d = 2, N = 4 and at d = 3, N in {5, 8};
 - norm at c on standard_ample(2) and classical(2), c in {0.9, 1.3};
+- norm brackets at tol 1e-4 and tol 0 on classical(2) at N in {4, 8} and
+  standard_nearly_ample(3,0,1) at N = 4;
 - decompose, realize, norm and pick under --feas-tol and --max-iter, and one
   decompose document read from stdin and reported to stdout;
 - constant colligations (state space E = 0) through eval and vn, and
@@ -215,6 +217,21 @@ def norm_at_c(corpus: Corpus) -> None:
                             "preordering": preordering_to_json(pre), "c": c, "tol": 1e-6})
 
 
+def norm_brackets(corpus: Corpus) -> None:
+    """Non-ample norms at tol 1e-4, which may stop the solve early, and at tol 0,
+    which runs it to convergence."""
+    for pname, pre, d, N, m in (("classical2", classical(2), 2, 4, 1),
+                                ("classical2", classical(2), 2, 4, 2),
+                                ("classical2", classical(2), 2, 8, 1),
+                                ("nearly3", standard_nearly_ample(3, 0, 1), 3, 4, 1)):
+        for k in range(2):
+            phi, _ = random_transfer_sample(np.random.default_rng([37, N, m, k]), N, d, m)
+            for tol in (1e-4, 0):
+                corpus.doc(f"norm-{pname}-N{N}m{m}-{k}-tol{tol}", ["norm"],
+                           {**function_sample_to_json(phi),
+                            "preordering": preordering_to_json(pre), "tol": tol})
+
+
 def two_point(pre) -> dict:
     """A 2-point document on 0.5 phi that the default solver answers feasible."""
     phi, _ = random_transfer_sample(np.random.default_rng(19), 2, 2)
@@ -323,6 +340,7 @@ def main() -> None:
     aux(corpus)
     malformed(corpus)
     norm_at_c(corpus)
+    norm_brackets(corpus)
     flags(corpus)
     edge_documents(corpus)
     malformed_inputs(corpus)

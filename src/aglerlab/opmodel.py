@@ -185,8 +185,6 @@ def eval_colligation_at_tuple(col: Colligation, T: CommutingTuple) -> np.ndarray
     for lam, _ in col.partition:
         if lam not in units:
             raise ValueError(f"tuple evaluation supports classical partitions only, got {lam}")
-        if len(lam) != T.d:
-            raise ValueError("partition dimension != tuple dimension")
     if not T.is_strict():
         raise ValueError("tuple evaluation needs max_j |T_j| < 1")
     S = col.state_operator([T.matrices[units[lam]] for lam, _ in col.partition])

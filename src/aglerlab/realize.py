@@ -758,7 +758,10 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
     (k_s (x) 1_m), k_s (x) I_m); everything else one interior-point solve of
     min s with R = -phi phi^*.  c_hi carries a validated certificate and c_lo
     a validated witness, or is the sup norm with no witness; `resolved`
-    means c_hi - c_lo <= tol.
+    means c_hi - c_lo <= tol.  The solve stops at the first iterate whose
+    validated ends are resolved, so the bracket is the first one within
+    tol, not the tightest the solver could reach: a tighter bracket needs a
+    smaller tol, and tol = 0 runs the solve to convergence.
     """
     params = params or SolverParams()
     sup = phi.sup_norm()
@@ -780,17 +783,35 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
                                             phi.m_out)
         u = _szego_top(phi, lam, shift)[1]
         lo = _witness_end(phi, preordering, _szego_witness(phi.sample, lam, u), params, sup)
-    else:
-        ws = _Workspace(phi.sample, lams, target_blocks(phi, 0.0), params.feas_tol)
-        for _, upper, lower in _interior_point(ws, params):
-            pass
+        return _norm_result(hi, lo, sup, tol)
+    ws = _Workspace(phi.sample, lams, target_blocks(phi, 0.0), params.feas_tol)
+
+    def ends(upper, lower):  # validated (c, certificate) and (c, witness), or None
         hi = _certificate_end(phi, preordering, upper[0],
                               lambda c: ws.certificate(upper, c * c, c), params)
-        if hi is None:  # the certificate on one lambda alone always exists
-            hi = _first(_certificate_end(phi, preordering, _szego_top(phi, lam)[0],
-                                         szego_cert(lam), params) for lam in lams)
         lo = lower[1] is not None and _witness_end(phi, preordering, ws.witness_kernel(lower),
                                                    params, sup)
+        return hi, lo
+
+    tried = None
+    for _, upper, lower in _interior_point(ws, params):
+        bounds = (upper[0], lower[0])
+        # crossed ends are no bracket: one of them is not a bound
+        width = np.sqrt(max(upper[0], 0.0)) - np.sqrt(max(lower[0], sup * sup))
+        if 0 <= width <= tol and bounds != tried:
+            tried = bounds
+            out = _norm_result(*ends(upper, lower), sup, tol)
+            if out.resolved:
+                return out
+    hi, lo = ends(upper, lower)
+    if hi is None:  # the certificate on one lambda alone always exists
+        hi = _first(_certificate_end(phi, preordering, _szego_top(phi, lam)[0],
+                                     szego_cert(lam), params) for lam in lams)
+    return _norm_result(hi, lo, sup, tol)
+
+
+def _norm_result(hi, lo, sup, tol) -> NormResult:
+    """The bracket from validated ends (c, certificate) and (c, witness), or None."""
     c_hi, cert = hi or (np.inf, None)
     c_lo, wit = lo or (sup, None)
     evals = ((c_lo, "infeasible"),) if wit else ()

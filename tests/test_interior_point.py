@@ -5,8 +5,10 @@ validators, and the answers must respect the order structure of the
 decomposition cones.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from aglerlab import realize
 from aglerlab.preorder import classical, standard_ample, standard_nearly_ample
 from aglerlab.realize import (FunctionSample, SolverParams, agler_decompose,
                               schur_agler_norm, validate_certificate, validate_witness)
@@ -66,3 +68,43 @@ def test_ample_lower_end_below_nearly_ample_upper_end(seed, n, drop, scale):
     ample = schur_agler_norm(phi, standard_ample(3), tol=1e-4)
     nearly = schur_agler_norm(phi, standard_nearly_ample(3, *drop), tol=1e-4)
     assert ample.c_lo <= nearly.c_hi
+
+
+def _counted_norm(phi, pre, tol):
+    """schur_agler_norm and the number of Newton steps its solve took."""
+    steps = [0]
+    newton_step = realize._newton_step
+
+    def counted(*args):
+        steps[0] += 1
+        return newton_step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_newton_step", counted)
+        return schur_agler_norm(phi, pre, tol=tol), steps[0]
+
+
+@SMALL
+@given(seeds, sizes, st.sampled_from(PREORDERINGS), scales, st.sampled_from([1e-4, 1e-8]))
+def test_norm_at_tol_stops_early_within_the_converged_bracket(seed, n, pre, scale, tol):
+    # the solve at tol is a prefix of the one at tol 0, stopped at the first
+    # iterate whose validated ends are within tol; at 1e-8, about the width
+    # of a converged bracket, most solves never get there and run to the end
+    phi = _sample(seed, n, pre.d, scale)
+    (loose, loose_steps), (full, full_steps) = (_counted_norm(phi, pre, t) for t in (tol, 0.0))
+    assert loose_steps <= full_steps
+    assert max(loose.c_lo, full.c_lo) <= min(loose.c_hi, full.c_hi)
+    assert loose.resolved or full.c_hi - full.c_lo > tol
+    for out, t in ((loose, tol), (full, 0.0)):
+        if out.resolved:
+            assert out.c_hi - out.c_lo <= t
+        assert validate_certificate(phi, pre, out.c_hi, out.certificate, FEAS_TOL)[0]
+        if out.witness is not None:
+            assert validate_witness(phi, pre, out.c_lo, out.witness.kernel, FEAS_TOL) is not None
+
+
+@pytest.mark.parametrize("pre", PREORDERINGS)
+def test_norm_at_loose_tol_takes_fewer_newton_steps(pre):
+    phi = _sample(5, 4, pre.d, 1.0)
+    (loose, loose_steps), (full, full_steps) = (_counted_norm(phi, pre, t) for t in (1e-4, 0.0))
+    assert loose.resolved and loose_steps < full_steps

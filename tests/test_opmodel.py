@@ -174,6 +174,14 @@ class TestEvalColligationAtTuple:
         with pytest.raises(ValueError, match="classical"):
             eval_colligation_at_tuple(col, T)
 
+    def test_rejects_partition_of_another_dimension(self):
+        col = Colligation([[0.0]], [[1.0]], [[1.0]], [[0.0]], ((unit(3, 0), 1),))
+        T = random_strict_tuple(RNG(12), 2, 2)
+        with pytest.raises(ValueError) as err:
+            eval_colligation_at_tuple(col, T)
+        assert str(err.value) == ("tuple evaluation supports classical partitions only, "
+                                  "got (1, 0, 0)")
+
     def test_rejects_nonstrict(self):
         col = Colligation([[0.0]], [[1.0]], [[1.0]], [[0.0]], ((unit(1, 0), 1),))
         U = CommutingTuple([np.eye(2)])

@@ -555,3 +555,69 @@ def test_lurking_colligation_with_empty_state():
     assert got.state_dim == ref.state_dim == 0
     for block in "ABCD":
         assert np.array_equal(getattr(got, block), getattr(ref, block)), block
+
+
+def ref_iterative_norm(phi, pre, tol, params):
+    """The non-ample norm as one drained solve: run _interior_point to its end,
+    then build both ends, with the single-lambda Szego fallback for c_hi."""
+    from aglerlab import realize as rz
+    sup = phi.sup_norm()
+    lams = rz._decomposition_lambdas(pre)
+    ws = rz._Workspace(phi.sample, lams, rz.target_blocks(phi, 0.0), params.feas_tol)
+    for _, upper, lower in rz._interior_point(ws, params):
+        pass
+    hi = rz._certificate_end(phi, pre, upper[0], lambda c: ws.certificate(upper, c * c, c),
+                             params)
+    if hi is None:
+        def szego_cert(lam):
+            return lambda c: rz._szego_certificate(
+                phi.sample, lams, lam, rz._szego_gamma(phi.sample, rz.target_blocks(phi, c),
+                                                       lam), c)
+        hi = rz._first(rz._certificate_end(phi, pre, rz._szego_top(phi, lam)[0],
+                                           szego_cert(lam), params) for lam in lams)
+    lo = lower[1] is not None and rz._witness_end(phi, pre, ws.witness_kernel(lower), params,
+                                                  sup)
+    c_hi, cert = hi or (np.inf, None)
+    c_lo, wit = lo or (sup, None)
+    evals = ((c_lo, "infeasible"),) if wit else ()
+    evals += ((c_hi, "feasible"),) if cert else ()
+    return rz.NormResult(c_lo, c_hi, bool(cert is not None and c_hi - c_lo <= tol), cert, wit,
+                         evals)
+
+
+@pytest.mark.parametrize("pre, N, key", [
+    *[("classical(2)", 4, [s, 0]) for s in (1, 2, 3)],
+    *[("classical(2)", 8, [s, 1]) for s in (1, 2, 3)],
+    *[("standard_nearly_ample(3,0,1)", 4, [s, 2]) for s in (1, 2, 3)],
+    ("classical(2)", 8, [201, 52]),  # crossing solver bounds, Szego fallback for c_hi
+])
+def test_norm_at_tol_zero_matches_drained_reference(pre, N, key):
+    pre = REFERENCE_PREORDERINGS[pre]
+    phi, _ = random_transfer_sample(RNG(key), N, pre.d)
+    params = SolverParams(max_iter=3000, stall_rtol=1e-9)
+    got = schur_agler_norm(phi, pre, tol=0.0, params=params)
+    ref = ref_iterative_norm(phi, pre, 0.0, params)
+    assert np.array_equal(got.c_lo, ref.c_lo) and np.array_equal(got.c_hi, ref.c_hi)
+    assert got.evaluations == ref.evaluations and got.resolved == ref.resolved
+    assert (got.certificate is None) == (ref.certificate is None)
+    if ref.certificate is not None:
+        assert got.certificate.lambdas() == ref.certificate.lambdas()
+        for lam in ref.certificate.lambdas():
+            assert np.array_equal(got.certificate.gammas[lam].blocks,
+                                  ref.certificate.gammas[lam].blocks)
+    assert (got.witness is None) == (ref.witness is None)
+    if ref.witness is not None:
+        assert np.array_equal(got.witness.kernel.blocks, ref.witness.kernel.blocks)
+
+
+@pytest.mark.parametrize("key", [[1, 19], [1, 40], [2, 37], [5, 43]])
+def test_norm_keeps_iterating_past_an_unresolved_try(key):
+    # on these samples the first bracket the solver sees within tol does not
+    # validate within tol (no certificate, or ends 1.09e-4 apart), so the
+    # solve must go on to a later try
+    phi, _ = random_transfer_sample(RNG(key), 8, 2)
+    out = schur_agler_norm(phi, classical(2), tol=1e-4,
+                           params=SolverParams(max_iter=3000, stall_rtol=1e-9))
+    assert out.resolved and out.c_hi - out.c_lo <= 1e-4
+    assert validate_certificate(phi, classical(2), out.c_hi, out.certificate, 1e-8)[0]
+    assert validate_witness(phi, classical(2), out.c_lo, out.witness.kernel, 1e-8) is not None
