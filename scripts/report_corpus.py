@@ -20,6 +20,9 @@ script runs against any tree.  The corpus:
 - norm at c on standard_ample(2) and classical(2), c in {0.9, 1.3};
 - norm brackets at tol 1e-4 and tol 0 on classical(2) at N in {4, 8} and
   standard_nearly_ample(3,0,1) at N = 4;
+- norm brackets at tol 1e-4 under the norm-bracket workload's solver budget
+  on three of its ops whose solves end short of tol, and a decompose
+  document that sets the no-effect fields stall_window and stall_rtol;
 - decompose, realize, norm and pick under --feas-tol and --max-iter, and one
   decompose document read from stdin and reported to stdout;
 - constant colligations (state space E = 0) through eval and vn, and
@@ -232,6 +235,22 @@ def norm_brackets(corpus: Corpus) -> None:
                             "preordering": preordering_to_json(pre), "tol": tol})
 
 
+def short_solves(corpus: Corpus) -> None:
+    """norm-bracket ops (seed, op) whose solves stop before their bounds meet,
+    and a decompose document that sets the stall fields, which have no effect;
+    a bracket-stall rule set that way ends its solve unresolved after 3 steps."""
+    pre_json = preordering_to_json(classical(2))
+    for seed, op in ((3, 40), (9, 58), (201, 52)):
+        phi, _ = random_transfer_sample(np.random.default_rng([seed, op]), 8, 2)
+        corpus.doc(f"norm-bracket-{seed}-{op}", ["norm"],
+                   {**function_sample_to_json(phi), "preordering": pre_json, "tol": 1e-4,
+                    "solver": {"max_iter": 3000, "stall_rtol": 1e-9}})
+    phi, _ = random_transfer_sample(np.random.default_rng([1, 1]), 4, 2)
+    corpus.doc("decompose-stall-fields", ["decompose"],
+               {**function_sample_to_json(phi), "preordering": pre_json, "c": 0.9,
+                "solver": {"stall_window": 1, "stall_rtol": 0.5}})
+
+
 def two_point(pre) -> dict:
     """A 2-point document on 0.5 phi that the default solver answers feasible."""
     phi, _ = random_transfer_sample(np.random.default_rng(19), 2, 2)
@@ -341,6 +360,7 @@ def main() -> None:
     malformed(corpus)
     norm_at_c(corpus)
     norm_brackets(corpus)
+    short_solves(corpus)
     flags(corpus)
     edge_documents(corpus)
     malformed_inputs(corpus)

@@ -105,7 +105,6 @@ def _solver_params(doc: dict, args) -> realize.SolverParams:
 
 def _solver_echo(params, args) -> dict:
     return {"feas_tol": params.feas_tol, "max_iter": params.max_iter, "seed": args.seed,
-            "stall_window": params.stall_window, "stall_rtol": params.stall_rtol,
             "force_iterative": params.force_iterative}
 
 

@@ -141,11 +141,6 @@ def ones_kernel(sample: PointSample, m: int = 1) -> HermitianKernel:
     return HermitianKernel(sample, blocks)
 
 
-def diagonal_kernel(sample: PointSample, m: int = 1) -> HermitianKernel:
-    """Identity blocks on the diagonal, zero off: the sup-norm comparison kernel."""
-    return scalar_schur(ones_kernel(sample, m), np.eye(sample.n_points))
-
-
 def schur_product(K1: HermitianKernel, K2: HermitianKernel) -> HermitianKernel:
     """Blockwise Schur (tensor) product; scalar blocks reduce to entrywise."""
     if K1.sample != K2.sample:

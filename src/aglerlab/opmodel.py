@@ -14,8 +14,7 @@ from math import comb
 import numpy as np
 
 from ._linalg import hermitize, min_eig, spectral_norm
-from .preorder import (MultiIndex, Preordering, is_zero_one, minimal_reduction,
-                       predecessors, weight)
+from .preorder import MultiIndex, Preordering, minimal_reduction, predecessors, weight
 from .realize import Colligation
 
 COMMUTE_TOL = 1e-12
@@ -86,22 +85,6 @@ def hereditary_defect(T: CommutingTuple, lam: MultiIndex) -> np.ndarray:
             w *= comb(a, b)
         P = T.power(sub)
         out += ((-1) ** weight(sub)) * w * (P @ P.conj().T)
-    return hermitize(out)
-
-
-def hereditary_defect_rows(T: CommutingTuple, lam: MultiIndex) -> np.ndarray:
-    """Row-calculus form psi^+(T) psi^+(T)^* - psi^-(T) psi^-(T)^* for 0/1 lam."""
-    if not is_zero_one(lam) or weight(lam) == 0:
-        raise ValueError("row form needs a nonzero 0/1 multi-index")
-    even = [q for q in predecessors(lam) if weight(q) % 2 == 0]
-    odd = [q for q in predecessors(lam) if weight(q) % 2 == 1]
-    out = np.zeros((T.q, T.q), dtype=complex)
-    for sub in even:
-        P = T.power(sub)
-        out += P @ P.conj().T
-    for sub in odd:
-        P = T.power(sub)
-        out -= P @ P.conj().T
     return hermitize(out)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import min_eig
-from .auxfun import AuxFunctionSample, monomial_rows, row_sqnorms
+from .auxfun import AuxFunctionSample, monomial_rows
 from .kernels import PointSample
 from .preorder import MultiIndex, Preordering, classify
 from .realize import (AglerCertificate, Colligation, DecomposeResult, SolverParams,
@@ -133,21 +133,3 @@ def corona_right_inverse(sample: PointSample, lam: MultiIndex,
     omegas = eval_transfer(sol.colligation, sample.points)[:, :, :1]
     worst = np.abs(a @ omegas - 1.0).max()
     return omegas, sol, float(worst)
-
-
-def pointwise_right_inverse(sample: PointSample, lam: MultiIndex) -> np.ndarray:
-    """Sanity oracle omega(x) = psi^+(x)^* / |psi^+(x)|^2 (no norm bound claim)."""
-    plus, _ = monomial_rows(sample.points, tuple(int(v) for v in lam))
-    return plus.conj()[:, :, None] / row_sqnorms(plus)[:, None, None]
-
-
-def classical_pick_matrix(problem: PickProblem) -> np.ndarray:
-    """Scalar d=1 cross-check: ((a_x conj(a_y) - b_x conj(b_y)) / (1 - z_x conj(z_y)))."""
-    if problem.nodes.d != 1 or problem.m != 1 or problem.p != 1:
-        raise ValueError("classical Pick matrix is the scalar one-variable form")
-    z = problem.nodes.points[:, 0]
-    a = problem.a[:, 0, 0]
-    b = problem.b[:, 0, 0]
-    num = np.outer(a, a.conj()) - np.outer(b, b.conj())
-    den = 1 - np.outer(z, z.conj())
-    return num / den

@@ -55,16 +55,14 @@ class FunctionSample:
 class SolverParams:
     """Knobs for the interior-point solver.
 
-    feas_tol is the validators' tolerance; max_iter caps Newton steps; a
-    solve also stops once, over stall_window Newton steps, the width of its
-    certified bracket on s* has not shrunk by a relative stall_rtol while
-    the complementarity has not halved.  force_iterative sends ample
-    preorderings through the solver too.
+    feas_tol is the validators' tolerance; max_iter caps Newton steps;
+    force_iterative sends ample preorderings through the solver too.
+    stall_rtol is read by nothing; it stays so that callers that set it
+    keep working.
     """
 
     feas_tol: float = 1e-8
     max_iter: int = 200_000
-    stall_window: int = 5
     stall_rtol: float = 1e-12
     force_iterative: bool = False
 
@@ -206,6 +204,7 @@ def validate_witness(phi: FunctionSample, preordering: Preordering, c: float,
 
 MAX_INTERIOR_DIM = 32  # N*m; the Newton system is dense in (N*m)^2 unknowns
 _GAP_TOL = 1e-9  # relative duality gap and primal residual that end a solve
+_STEP_FLOOR = 1e-6  # a step whose primal and dual lengths both fall below this ends it
 _STEP_DAMPING = 0.95
 
 
@@ -347,7 +346,8 @@ def _max_steps(primal: tuple, dual: tuple) -> tuple[float, float]:
 
 
 def _newton_step(ws: _Workspace, X, t, W, Z, z, rp):
-    """One HKM step with Mehrotra's predictor-corrector on (X, t; W, Z, z).
+    """One HKM step with Mehrotra's predictor-corrector on (X, t; W, Z, z),
+    returned with its primal and dual step lengths ap and ad.
 
     t = s - s_floor >= 0 and z = 1 - <J, W> >= 0 make the free s a conic
     variable; Z_lam is the slack of conj(D_lam) o W.
@@ -375,19 +375,17 @@ def _newton_step(ws: _Workspace, X, t, W, Z, z, rp):
     sigma = min(max(mu_aff / mu, 0.0), 1.0) ** 3
     dX, dt, dW, dZ, dz = direction(sigma * mu, hermitize_stack(dX @ dZ @ Zi), dt * dz)
     ap, ad = (min(1.0, _STEP_DAMPING * a) for a in _max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
-    return X + ap * dX, t + ap * dt, W + ad * dW, Z + ad * dZ, z + ad * dz
+    return X + ap * dX, t + ap * dt, W + ad * dW, Z + ad * dZ, z + ad * dz, ap, ad
 
 
 def _interior_point(ws: _Workspace, params: SolverParams):
     """Primal-dual path following; yields (steps, best upper, best lower).
 
     The best bounds are kept because the Newton system degrades near the
-    optimum.  Stops at a relative duality gap and primal residual below
-    _GAP_TOL, after max_iter Newton steps, on a breakdown of the Newton
-    system, or on a stall: over stall_window steps the bracket width has
-    not shrunk by a relative stall_rtol and the complementarity <X, Z> + t z
-    has not halved.  (Early on the bounds can rest for several steps while
-    the complementarity still falls fast.)
+    optimum.  The solve reads only its own iterates to stop: at a relative
+    duality gap and primal residual below _GAP_TOL, after a step whose
+    primal and dual lengths both fell below _STEP_FLOOR, after max_iter
+    Newton steps, or on a breakdown of the Newton system.
     """
     L, n = len(ws.lams), ws.n
     B = ws.R + ws.s_floor * ws.J
@@ -396,20 +394,16 @@ def _interior_point(ws: _Workspace, params: SolverParams):
     W = np.eye(n, dtype=complex) / (2 * n)
     Z = ws.Dc * W
     hi, lo = ws.upper(X, ws.s_floor + t), ws.lower(W)
-    history = []  # (bracket width, complementarity) per iterate
+    ap = ad = 1.0
     for steps in range(params.max_iter + 1):
         yield steps, hi, lo
-        history.append((hi[0] - lo[0], _inner(X, Z) + t * z))
-        if len(history) > params.stall_window:
-            (w0, gap0), (w, gap) = history[-1 - params.stall_window], history[-1]
-            if w0 - w <= params.stall_rtol * abs(w0) and gap > gap0 / 2:
-                return
         rp = B - ws.apply(X) + t * ws.J
         tol = _GAP_TOL * (ws.scale + abs(ws.s_floor + t))
-        if abs(t + _inner(B, W)) <= tol and np.abs(rp).max() <= tol or steps == params.max_iter:
+        converged = abs(t + _inner(B, W)) <= tol and np.abs(rp).max() <= tol
+        if converged or max(ap, ad) < _STEP_FLOOR or steps == params.max_iter:
             return
         try:
-            X, t, W, Z, z = _newton_step(ws, X, t, W, Z, z, rp)
+            X, t, W, Z, z, ap, ad = _newton_step(ws, X, t, W, Z, z, rp)
         except np.linalg.LinAlgError:
             return
         if not (np.isfinite(X).all() and np.isfinite(W).all()):

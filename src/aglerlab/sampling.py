@@ -45,32 +45,3 @@ def random_transfer_sample(rng: np.random.Generator, n_points: int, d: int,
     col = random_classical_colligation(rng, d, m)
     sample = random_points(rng, n_points, d)
     return FunctionSample(sample, eval_transfer(col, sample.points)), col
-
-
-def random_strict_tuple(rng: np.random.Generator, d: int, q: int,
-                        margin: float = 0.05):
-    """Strictly contractive commuting tuple.
-
-    Polynomials in one random contraction commute to round-off and are not
-    normal in general; half the draws use a simultaneously unitarily
-    diagonalizable family instead.
-    """
-    from .opmodel import CommutingTuple
-    if rng.uniform() < 0.5:
-        M = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
-        M /= np.linalg.norm(M, 2) * rng.uniform(1.05, 2.0)
-        mats = []
-        for _ in range(d):
-            coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-            T = coeffs[0] * np.eye(q) + coeffs[1] * M + coeffs[2] * M @ M
-            mats.append(T)
-    else:
-        Q = random_unitary(rng, q)
-        mats = []
-        for _ in range(d):
-            diag = rng.uniform(0, 1, q) * np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-            mats.append(Q @ np.diag(diag) @ Q.conj().T)
-    scale = max(np.linalg.norm(T, 2) for T in mats)
-    target = rng.uniform(0.3, 1 - margin)
-    mats = [T * (target / scale) for T in mats]
-    return CommutingTuple(mats)

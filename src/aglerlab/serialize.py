@@ -314,14 +314,15 @@ def json_to_tuple(doc, path: str = "$"):
 
 
 _NUMBER = ((int, float), "a number")
-# field: (JSON types, type name, range check or None, range description)
+# field: (JSON types, type name, range check or None, range description); the
+# solver stops on its own step lengths, so the stall fields have no effect
 _SOLVER_FIELDS = {
     "feas_tol": (*_NUMBER, lambda v: math.isfinite(v) and v > 0, "finite and positive"),
     "stall_rtol": (*_NUMBER, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
     "max_iter": ((int,), "an integer", lambda v: v >= 0, ">= 0"),
-    "stall_window": ((int,), "an integer", lambda v: v >= 1, ">= 1"),
+    "stall_window": ((int,), "an integer", lambda v: v >= 1, ">= 1"),  # no SolverParams field
     "force_iterative": ((bool,), "a boolean", None, ""),
-    "seed": ((int,), "an integer", None, ""),  # accepted with no effect: reports echo --seed
+    "seed": ((int,), "an integer", None, ""),  # no SolverParams field: reports echo --seed
 }
 
 
@@ -364,7 +365,7 @@ def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
         raise FormatError(path, "solver must be an object")
     for key, val in doc.items():
         val = solver_field(key, val, f"{path}.{key}")
-        if key != "seed":
+        if hasattr(params, key):
             setattr(params, key, type(getattr(params, key))(val))
     return params
 

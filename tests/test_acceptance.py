@@ -14,15 +14,15 @@ from aglerlab.kernels import PointSample
 from aglerlab.opmodel import (commutant_dimension, eval_colligation_at_tuple,
                               eval_polynomial, gkvw_default, kv_polynomial,
                               kv_tuple, parrott_default, parrott_forced_zero)
-from aglerlab.pick import PickProblem, classical_pick_matrix, pick_feasible, pick_solve
+from aglerlab.pick import PickProblem, pick_feasible, pick_solve
 from aglerlab.preorder import Preordering, classical, standard_ample, standard_nearly_ample
 from aglerlab.realize import (FunctionSample, SolverParams, agler_decompose,
                               ample_membership, eval_transfer, lurking_isometry,
                               schur_agler_norm, validate_certificate,
                               validate_witness)
 from aglerlab.sampling import (random_classical_colligation, random_points,
-                               random_psd_kernel, random_strict_tuple,
-                               random_transfer_sample, random_unitary)
+                               random_psd_kernel, random_transfer_sample, random_unitary)
+from helpers import classical_pick_matrix, random_strict_tuple
 
 SOUNDNESS_LOG: list = []
 

@@ -111,9 +111,23 @@ def test_decompose_report_echoes_every_solver_field(tmp_path):
     code, doc = run_cli(["decompose"], tmp_path, payload)
     assert code == 0
     assert doc["solver"] == {"feas_tol": 1e-8, "max_iter": 200_000, "seed": 0,
-                             "stall_window": 5, "stall_rtol": 1e-12,
                              "force_iterative": True}
     assert '"force_iterative":true}' in (tmp_path / "out.json").read_text()
+
+
+def test_stall_fields_have_no_effect(tmp_path):
+    # the solver stops on its own step lengths; a bracket-stall rule with
+    # stall_window 1 and a loose stall_rtol ends this solve unresolved after 3 steps
+    phi, _ = random_transfer_sample(np.random.default_rng([1, 1]), 4, 2)
+    payload = {**function_sample_to_json(phi), "preordering": [[1, 0], [0, 1]], "c": 0.9}
+    runs = []
+    for name, solver in (("plain", {}), ("stall", {"stall_window": 1, "stall_rtol": 0.5})):
+        (tmp_path / name).mkdir()
+        code, doc = run_cli(["decompose"], tmp_path / name, {**payload, "solver": solver})
+        runs.append((code, doc["status"], doc["iterations"],
+                     (tmp_path / name / "out.json").read_bytes()))
+    assert runs[0][:2] == (0, "feasible")
+    assert runs[0] == runs[1]
 
 
 class TestExampleCommand:

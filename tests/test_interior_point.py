@@ -108,3 +108,28 @@ def test_norm_at_loose_tol_takes_fewer_newton_steps(pre):
     phi = _sample(5, 4, pre.d, 1.0)
     (loose, loose_steps), (full, full_steps) = (_counted_norm(phi, pre, t) for t in (1e-4, 0.0))
     assert loose.resolved and loose_steps < full_steps
+
+
+def _drain(ws, params):
+    """The last (steps, upper, lower) of a solve run to its own stop."""
+    for last in realize._interior_point(ws, params):
+        pass
+    return last
+
+
+def test_stop_does_not_read_the_bounds():
+    # norm-bracket seed 9, op 58: with every upper bound at inf a rule on the
+    # bracket width would compare inf - inf; the step-length floor does not look
+    phi, _ = random_transfer_sample(np.random.default_rng([9, 58]), 8, 2)
+    params = SolverParams(max_iter=3000, stall_rtol=1e-9)
+    ws = realize._Workspace(phi.sample, realize._decomposition_lambdas(classical(2)),
+                            realize.target_blocks(phi, 0.0), params.feas_tol)
+    steps, _, lower = _drain(ws, params)
+    upper = realize._Workspace.upper
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize._Workspace, "upper",
+                   lambda self, X, s: (np.inf, *upper(self, X, s)[1:]))
+        blind_steps, blind_upper, blind_lower = _drain(ws, params)
+    assert blind_upper[0] == np.inf
+    assert blind_steps == steps < params.max_iter
+    assert blind_lower[0] == lower[0]

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aglerlab.kernels import (HermitianKernel, PointSample, diagonal_kernel,
-                              defect_factor, is_admissible, is_subordinate,
-                              kolmogorov, ones_kernel, psd_check, scalar_schur,
-                              schur_product, szego_kernel)
+from aglerlab.kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
+                              is_subordinate, kolmogorov, ones_kernel, psd_check,
+                              scalar_schur, schur_product, szego_kernel)
 from aglerlab.preorder import Preordering, standard_ample
 from aglerlab.sampling import random_points, random_psd_kernel
+
+
+def diagonal_kernel(sample: PointSample, m: int = 1) -> HermitianKernel:
+    """Identity blocks on the diagonal, zero off: the sup-norm comparison kernel."""
+    return scalar_schur(ones_kernel(sample, m), np.eye(sample.n_points))
 
 
 def two_point_line():

@@ -3,18 +3,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aglerlab._linalg import hermitize
 from aglerlab.opmodel import (CommutingTuple, TestPolynomial, builtin_tuple,
                               commutant_dimension, dilation_check,
                               eval_colligation_at_tuple, eval_polynomial,
-                              gkvw_default, gkvw_tuple, hereditary_defect,
-                              hereditary_defect_rows, is_brehmer, kv_polynomial,
-                              kv_tuple, parrott_default, parrott_forced_zero,
+                              gkvw_default, gkvw_tuple, hereditary_defect, is_brehmer,
+                              kv_polynomial, kv_tuple, parrott_default, parrott_forced_zero,
                               parrott_tuple)
-from aglerlab.preorder import Preordering, classical, standard_ample, unit
+from aglerlab.preorder import (Preordering, classical, is_zero_one, predecessors,
+                               standard_ample, unit, weight)
 from aglerlab.realize import Colligation, eval_transfer, transfer_compose
-from aglerlab.sampling import random_classical_colligation, random_strict_tuple, random_unitary
+from aglerlab.sampling import random_classical_colligation, random_unitary
+from helpers import random_strict_tuple
 
 RNG = np.random.default_rng
+
+
+def hereditary_defect_rows(T: CommutingTuple, lam) -> np.ndarray:
+    """Row-calculus form psi^+(T) psi^+(T)^* - psi^-(T) psi^-(T)^* for 0/1 lam."""
+    if not is_zero_one(lam) or weight(lam) == 0:
+        raise ValueError("row form needs a nonzero 0/1 multi-index")
+    even = [q for q in predecessors(lam) if weight(q) % 2 == 0]
+    odd = [q for q in predecessors(lam) if weight(q) % 2 == 1]
+    out = np.zeros((T.q, T.q), dtype=complex)
+    for sub in even:
+        P = T.power(sub)
+        out += P @ P.conj().T
+    for sub in odd:
+        P = T.power(sub)
+        out -= P @ P.conj().T
+    return hermitize(out)
 
 
 def hereditary_product_oracle(T, lam):

@@ -4,18 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aglerlab._linalg import min_eig
-from aglerlab.auxfun import aux_function, extend_aux_finite, monomial_rows
+from aglerlab.auxfun import aux_function, extend_aux_finite, monomial_rows, row_sqnorms
 from aglerlab.kernels import PointSample
-from aglerlab.pick import (PickProblem, classical_pick_matrix, corona_right_inverse,
-                           pick_feasible, pick_solve, pointwise_right_inverse,
+from aglerlab.pick import (PickProblem, corona_right_inverse, pick_feasible, pick_solve,
                            sigma_model_min_eig)
 from aglerlab.preorder import Preordering, classical, standard_ample
 from aglerlab.realize import (FunctionSample, SolverParams, agler_decompose, eval_transfer,
                               lurking_isometry)
 from aglerlab.sampling import random_points, random_transfer_sample
+from helpers import classical_pick_matrix
 
 RNG = np.random.default_rng
 DISK = Preordering([(1,)])
+
+
+def pointwise_right_inverse(sample: PointSample, lam) -> np.ndarray:
+    """Sanity oracle omega(x) = psi^+(x)^* / |psi^+(x)|^2 (no norm bound claim)."""
+    plus, _ = monomial_rows(sample.points, tuple(int(v) for v in lam))
+    return plus.conj()[:, :, None] / row_sqnorms(plus)[:, None, None]
 
 
 def scalar_problem(zs, targets, pre=DISK, a_vals=None):
