@@ -21,7 +21,8 @@ script runs against any tree.  The corpus:
 - norm brackets at tol 1e-4 and tol 0 on classical(2) at N in {4, 8} and
   standard_nearly_ample(3,0,1) at N = 4;
 - norm brackets at tol 1e-4 under the norm-bracket workload's solver budget
-  on three of its ops whose solves end short of tol, and a decompose
+  on three of its ops whose solves end short of tol and on five whose first
+  certificate within tol fails at the solver's own bound, and a decompose
   document that sets the no-effect fields stall_window and stall_rtol;
 - decompose, realize, norm and pick under --feas-tol and --max-iter, and one
   decompose document read from stdin and reported to stdout;
@@ -237,10 +238,13 @@ def norm_brackets(corpus: Corpus) -> None:
 
 def short_solves(corpus: Corpus) -> None:
     """norm-bracket ops (seed, op) whose solves stop before their bounds meet,
-    and a decompose document that sets the stall fields, which have no effect;
-    a bracket-stall rule set that way ends its solve unresolved after 3 steps."""
+    five whose first certificate within tol fails at the solver's own bound,
+    so that the solve goes on to a narrower bracket, and a decompose document
+    that sets the stall fields, which have no effect; a bracket-stall rule set
+    that way ends its solve unresolved after 3 steps."""
     pre_json = preordering_to_json(classical(2))
-    for seed, op in ((3, 40), (9, 58), (201, 52)):
+    for seed, op in ((3, 40), (9, 58), (201, 52), (5, 43), (8, 13), (8, 43), (26, 43),
+                     (28, 16)):
         phi, _ = random_transfer_sample(np.random.default_rng([seed, op]), 8, 2)
         corpus.doc(f"norm-bracket-{seed}-{op}", ["norm"],
                    {**function_sample_to_json(phi), "preordering": pre_json, "tol": 1e-4,

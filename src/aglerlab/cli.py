@@ -210,7 +210,7 @@ def cmd_norm(doc, args):
     c = serialize.json_number(doc, "c", None)
     result = realize.schur_agler_norm(phi, pre, tol, params)
     body = {"command": "norm", "solver": _solver_echo(params, args),
-            "c_lo": result.c_lo, "c_hi": result.c_hi,
+            "c_lo": result.c_lo, "c_hi": result.c_hi if math.isfinite(result.c_hi) else None,
             "resolved": result.resolved,
             "sup_norm": phi.sup_norm(),
             "evaluations": [list(e) for e in result.evaluations]}

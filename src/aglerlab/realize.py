@@ -72,7 +72,6 @@ class AglerCertificate:
     """PSD kernels Gamma_lam reassembling c^2 - phi phi^* over the defects."""
 
     gammas: dict  # MultiIndex -> HermitianKernel
-    residual: float
     c: float
 
     def lambdas(self) -> list[MultiIndex]:
@@ -310,10 +309,9 @@ class _Workspace:
         value, Xp, lifts = upper
         G = Xp + lifts[:, None, None] * self.S
         G[0] += max(kappa - value, 0.0) * self.S[0]
-        residual = float(np.abs(self.apply(G) - self.R - kappa * self.J).max())
         gammas = {lam: HermitianKernel.from_assembled(self.sample, hermitize(g))
                   for lam, g in zip(self.lams, G)}
-        return AglerCertificate(gammas, residual, c)
+        return AglerCertificate(gammas, c)
 
     def lower(self, W: np.ndarray) -> tuple:
         """s* >= value: W plus the least eps I that makes it admissible,
@@ -437,7 +435,8 @@ def _solve_target(sample: PointSample, preordering: Preordering, R_blocks: np.nd
         done = (hi[0] <= 0 and certified(hi, steps)) or (lo[0] > 0 and separated(hi, lo, steps))
         if done:
             return done
-    done = (lo[0] > 0 and separated(hi, lo, steps)) or certified(hi, steps)
+    # the loop tried the final bounds; only a certificate at hi > 0 is left untried
+    done = hi[0] > 0 and certified(hi, steps)
     return done or DecomposeResult("unresolved", None, None, max(hi[0], 0.0), steps)
 
 
@@ -479,7 +478,7 @@ def _szego_certificate(sample: PointSample, lams: list[MultiIndex], lam: MultiIn
     """Gamma_lam = gamma (a _szego_gamma) clipped to PSD, every other Gamma zero."""
     gammas = {mu: HermitianKernel.from_assembled(
         sample, psd_clip(gamma) if mu == lam else np.zeros_like(gamma)) for mu in lams}
-    return AglerCertificate(gammas, 0.0, c)
+    return AglerCertificate(gammas, c)
 
 
 def _ample_shortcut(sample: PointSample, preordering: Preordering, R_blocks: np.ndarray,
@@ -735,11 +734,6 @@ class NormResult:
     evaluations: tuple  # ((c, status), ...): (c_lo, "infeasible") and (c_hi, "feasible")
 
 
-def _offsets(scale: float) -> list[float]:
-    """How far a bracket end moves, growing x10, until its object validates."""
-    return [0.0] + [scale * 10.0 ** k for k in range(-15, -3)]
-
-
 def _first(candidates):
     return next((x for x in candidates if x), None)
 
@@ -750,10 +744,12 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
 
     Ample preorderings take the closed form c*^2 = lambda_max(phi phi^* o
     (k_s (x) 1_m), k_s (x) I_m); everything else one interior-point solve of
-    min s with R = -phi phi^*.  c_hi carries a validated certificate and c_lo
-    a validated witness, or is the sup norm with no witness; `resolved`
-    means c_hi - c_lo <= tol.  The solve stops at the first iterate whose
-    validated ends are resolved, so the bracket is the first one within
+    min s with R = -phi phi^*.  c_hi^2 is the bound that built its validated
+    certificate, with no margin: s + sum t_lam, the ample closed form, or the
+    closed form on the first single lam that validates; else c_hi is inf.
+    c_lo carries a validated witness, or is the sup norm with no witness;
+    `resolved` means c_hi - c_lo <= tol.  The solve stops at the first iterate
+    whose validated ends are resolved, so the bracket is the first one within
     tol, not the tightest the solver could reach: a tighter bracket needs a
     smaller tol, and tol = 0 runs the solve to convergence.
     """
@@ -763,16 +759,10 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
         out = agler_decompose(phi, preordering, 0.0, params)
         return NormResult(0.0, 0.0, out.feasible, out.certificate, None, ((0.0, out.status),))
     lams = _decomposition_lambdas(preordering)
-
-    def szego_cert(lam):  # the certificate on lam alone, as a function of c
-        return lambda c: _szego_certificate(
-            phi.sample, lams, lam, _szego_gamma(phi.sample, target_blocks(phi, c), lam), c)
-
     cls = classify(preordering)
     if cls.is_ample and not params.force_iterative:
         lam = cls.lambda_max
-        hi = _certificate_end(phi, preordering, _szego_top(phi, lam)[0], szego_cert(lam),
-                              params)
+        hi = _szego_end(phi, preordering, lams, lam, params)
         shift = params.feas_tol * np.repeat(np.diag(szego_factor(phi.sample, lam)).real,
                                             phi.m_out)
         u = _szego_top(phi, lam, shift)[1]
@@ -798,9 +788,8 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
             if out.resolved:
                 return out
     hi, lo = ends(upper, lower)
-    if hi is None:  # the certificate on one lambda alone always exists
-        hi = _first(_certificate_end(phi, preordering, _szego_top(phi, lam)[0],
-                                     szego_cert(lam), params) for lam in lams)
+    if hi is None:  # on ill-conditioned S_lam no single-lam certificate may validate
+        hi = _first(_szego_end(phi, preordering, lams, lam, params) for lam in lams)
     return _norm_result(hi, lo, sup, tol)
 
 
@@ -815,20 +804,26 @@ def _norm_result(hi, lo, sup, tol) -> NormResult:
 
 
 def _certificate_end(phi, preordering, c_sq, build, params):
-    """(c, certificate) at the first c^2 = c_sq + offset whose build(c) validates."""
-    def certified(sq):
-        c = float(np.sqrt(sq))
-        cert = build(c)
-        ok = validate_certificate(phi, preordering, c, cert, params.feas_tol)[0]
-        return (c, cert) if ok else None
+    """(c, build(c)) at c = sqrt(c_sq), the bound that built it, validated once."""
+    c = float(np.sqrt(c_sq))
+    cert = build(c)
+    ok = validate_certificate(phi, preordering, c, cert, params.feas_tol)[0]
+    return (c, cert) if ok else None
 
-    return _first(certified(c_sq + off) for off in _offsets(c_sq))
+
+def _szego_end(phi, preordering, lams, lam, params):
+    """_certificate_end of the certificate on lam alone, at its closed-form c^2."""
+    return _certificate_end(phi, preordering, _szego_top(phi, lam)[0], lambda c: (
+        _szego_certificate(phi.sample, lams, lam,
+                           _szego_gamma(phi.sample, target_blocks(phi, c), lam), c)), params)
 
 
 def _witness_end(phi, preordering, kern, params, sup):
     """(c, witness) at the largest c > sup where kern separates, found in closed
-    form (the pairing is affine in c^2) and lowered by an offset until the
-    witness validates."""
+    form (the pairing is affine in c^2).  That c^2 puts the pairing exactly on
+    the validator's strict threshold, where rounding can fail it, so it is
+    lowered by 0, then c_sq * 1e-15 growing x10 up to c_sq * 1e-4, until the
+    witness validates: a rigorous rounding margin would lower c_lo by more."""
     R0 = target_blocks(phi, 0.0)
     mass = pairing(target_blocks(phi, 1.0) - R0, kern)
     if not mass > 0:
@@ -840,4 +835,5 @@ def _witness_end(phi, preordering, kern, params, sup):
         wit = validate_witness(phi, preordering, c, kern, params.feas_tol)
         return (c, wit) if wit else None
 
-    return _first(separated(c_sq - off) for off in _offsets(c_sq) if c_sq - off > sup * sup)
+    offsets = [0.0] + [c_sq * 10.0 ** k for k in range(-15, -3)]
+    return _first(separated(c_sq - off) for off in offsets if c_sq - off > sup * sup)

@@ -233,7 +233,7 @@ def json_to_certificate(doc, c: float, path: str = "$.certificate") -> AglerCert
     for key, val in doc.items():
         lam = parse_lambda_key(key, f"{path}.{key}")
         gammas[lam] = json_to_kernel(val, f"{path}.{key}")
-    return AglerCertificate(gammas, 0.0, c)
+    return AglerCertificate(gammas, c)
 
 
 def colligation_to_json(col: Colligation) -> dict:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aglerlab.cli import main
-from aglerlab.realize import Colligation, FunctionSample
+from aglerlab.preorder import classical
+from aglerlab.realize import Colligation, FunctionSample, validate_witness
 from aglerlab.sampling import random_points, random_transfer_sample
 from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
-                                kernel_to_json, points_to_json)
+                                json_to_kernel, kernel_to_json, points_to_json)
 from aglerlab.kernels import HermitianKernel, PointSample, ones_kernel, szego_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -103,6 +104,19 @@ class TestNormCommand:
         # single sample point: the norm collapses to |phi| = 0.5
         assert doc["c_lo"] == pytest.approx(0.5, abs=1e-5)
         assert doc["c_hi"] == pytest.approx(0.5, abs=1e-5)
+
+    def test_norm_without_certificate_reports_null_c_hi(self, tmp_path):
+        # norm-bracket seed 9, op 58: no certificate validates, so c_hi is inf;
+        # the report carries it as null, with the validated lower end
+        phi, _ = random_transfer_sample(np.random.default_rng([9, 58]), 8, 2)
+        payload = {**function_sample_to_json(phi), "preordering": [[1, 0], [0, 1]],
+                   "tol": 1e-4, "solver": {"max_iter": 3000, "stall_rtol": 1e-9}}
+        code, doc = run_cli(["norm"], tmp_path, payload)
+        assert code == 3
+        assert doc["c_hi"] is None and doc["resolved"] is False and "certificate" not in doc
+        assert doc["evaluations"] == [[doc["c_lo"], "infeasible"]]
+        witness = json_to_kernel(doc["witness"])
+        assert validate_witness(phi, classical(2), doc["c_lo"], witness, 1e-8) is not None
 
 
 def test_decompose_report_echoes_every_solver_field(tmp_path):

@@ -133,3 +133,45 @@ def test_stop_does_not_read_the_bounds():
     assert blind_upper[0] == np.inf
     assert blind_steps == steps < params.max_iter
     assert blind_lower[0] == lower[0]
+
+
+def test_each_certificate_end_is_validated_once(monkeypatch):
+    # norm-bracket seed 28, op 16: raising c^2 by up to 1e-4 c^2 until the
+    # certificate validates gives c_hi = 1.0000919, a bracket 9.3e-5 wide
+    phi, _ = random_transfer_sample(np.random.default_rng([28, 16]), 8, 2)
+    calls = {"ends": 0, "validations": 0}
+    end, validate = realize._certificate_end, realize.validate_certificate
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(realize, "_certificate_end", counted("ends", end))
+    monkeypatch.setattr(realize, "validate_certificate", counted("validations", validate))
+    out = schur_agler_norm(phi, classical(2), 1e-4, SolverParams(max_iter=3000, stall_rtol=1e-9))
+    assert calls["ends"] > 0 and calls["validations"] == calls["ends"]
+    assert out.resolved and out.c_hi - out.c_lo < 1e-5
+
+
+def test_decision_validates_each_witness_once(monkeypatch):
+    # c = 0.3 lies below the norm, so every lower bound is positive and each
+    # iterate's witness is tried; with all of them failing, the budget runs out
+    phi = _sample(5, 4, 2, 1.0)
+    latest, tried = [], []
+    solve = realize._interior_point
+
+    def recorded(ws, params):
+        for item in solve(ws, params):
+            latest[:] = item[1][0], item[2][0]
+            yield item
+
+    def failing(*args):
+        tried.append(tuple(latest))
+
+    monkeypatch.setattr(realize, "_interior_point", recorded)
+    monkeypatch.setattr(realize, "validate_witness_target", failing)
+    out = agler_decompose(phi, classical(2), 0.3, SolverParams(max_iter=5))
+    assert out.status == "unresolved" and latest[1] > 0
+    assert len(tried) == 6 and len(set(tried)) == len(tried)
