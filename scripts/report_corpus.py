@@ -31,8 +31,9 @@ script runs against any tree.  The corpus:
 - malformed documents: missing points or phi, mistyped c or tol, preorderings
   of the wrong dimension, solver fields and flags out of range, seeds of the
   wrong type, NaN, Infinity and 1e999 where a number goes, a point written
-  without its list, Pick data sized for the wrong node count, and negative
-  and zero tolerances;
+  without its list, Pick data sized for the wrong node count, negative
+  and zero tolerances, a boolean in phi, a boolean, a fraction and a string
+  in a preordering, and a string contractive flag on a colligation;
 - command lines that argparse refuses: a mistyped --max-iter, an unknown
   command and an unknown flag.
 Every command runs in-process through `aglerlab.cli.main`, with the output
@@ -339,6 +340,17 @@ def malformed_inputs(corpus: Corpus) -> None:
     corpus.doc("bad-eval-point-unlisted", ["eval"],
                {"colligation": colligation_to_json(col), "points": [0.1, 0.0]})
     one = [[[[1.0, 0.0]]]]
+    # a boolean, fraction or string is never read as a number, an index or a flag
+    corpus.doc("bad-decompose-phi-bool", ["decompose"],
+               {**classical_doc, "phi": [[[[False, 0.0]]]] + classical_doc["phi"][1:]})
+    for name, entry in (("bool", True), ("fraction", 1.5), ("string", "1")):
+        corpus.doc(f"bad-decompose-preordering-{name}", ["decompose"],
+                   {**classical_doc, "preordering": [[entry, 0], [0, 1]]})
+    half = Colligation(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+                       np.array([[0.5]]), (), contractive=True)
+    corpus.doc("bad-eval-contractive-string", ["eval"],
+               {"colligation": {**colligation_to_json(half), "contractive": "false"},
+                "points": [[[0.1, 0.0], [0.2, 0.0]]]})
     corpus.doc("bad-pick-node-count", ["pick"],
                {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "a": one, "b": one,
                 "preordering": [[1]]})

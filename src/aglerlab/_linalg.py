@@ -7,12 +7,9 @@ DEFAULT_TOL = 1e-10
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix (also fixes round-off drift)."""
-    return (M + M.conj().T) / 2
-
-
-def hermitize_stack(G: np.ndarray) -> np.ndarray:
-    return (G + np.swapaxes(G.conj(), -1, -2)) / 2
+    """Nearest Hermitian matrix (also fixes round-off drift), of a matrix or of
+    each matrix in a stack over the last two axes."""
+    return (M + np.swapaxes(M.conj(), -1, -2)) / 2
 
 
 def block_diag(blocks) -> np.ndarray:
@@ -31,10 +28,11 @@ def min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(M)).min())
 
 
-def spectral_norm(M: np.ndarray) -> float:
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+def spectral_norm(M: np.ndarray):
+    """Largest singular value of a matrix, as a float, or of each matrix in a
+    stack over the last two axes, as an array; an empty matrix has norm 0."""
+    norms = np.linalg.norm(M, 2, axis=(-2, -1)) if M.size else np.zeros(M.shape[:-2])
+    return float(norms) if M.ndim == 2 else norms
 
 
 def psd_clip(M: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 
 from ._linalg import (DEFAULT_TOL, block_diag, hermitian_sqrt, min_eig,
                       orthonormal_range, spectral_norm)
-from .kernels import HermitianKernel, PointSample, defect_factor, szego_factor
+from .kernels import (HermitianKernel, PointSample, defect_factor, sample_multi_index,
+                      szego_factor)
 from .preorder import MultiIndex, Preordering, classify, parity_split
 
 
@@ -48,8 +49,6 @@ class PsiRows:
 
     sample: PointSample
     lam: MultiIndex
-    even_exponents: tuple[MultiIndex, ...]
-    odd_exponents: tuple[MultiIndex, ...]
     plus: np.ndarray   # (N, n)
     minus: np.ndarray  # (N, n)
 
@@ -63,17 +62,9 @@ class PsiRows:
         return float(np.abs(lhs - rhs).max())
 
 
-def _sample_lambda(sample: PointSample, lam: MultiIndex) -> MultiIndex:
-    lam = tuple(int(v) for v in lam)
-    if len(lam) != sample.d:
-        raise ValueError(f"multi-index dimension {len(lam)} != sample dimension {sample.d}")
-    return lam
-
-
 def psi_rows(sample: PointSample, lam: MultiIndex) -> PsiRows:
-    lam = _sample_lambda(sample, lam)
-    even, odd = parity_split(lam)
-    return PsiRows(sample, lam, tuple(even), tuple(odd), *monomial_rows(sample.points, lam))
+    lam = sample_multi_index(sample, lam)
+    return PsiRows(sample, lam, *monomial_rows(sample.points, lam))
 
 
 @dataclass(frozen=True)
@@ -90,12 +81,12 @@ class AuxFunctionSample:
         return self.sigmas.shape[1]
 
     def norms(self) -> np.ndarray:
-        return np.array([spectral_norm(s) for s in self.sigmas])
+        return spectral_norm(self.sigmas)
 
 
 def aux_function(sample: PointSample, lam: MultiIndex) -> AuxFunctionSample:
     """Raw sigma_lam: psi^+ sigma = psi^- holds exactly, norm |psi^-|/|psi^+| < 1."""
-    lam = _sample_lambda(sample, lam)
+    lam = sample_multi_index(sample, lam)
     return AuxFunctionSample(sample, lam, raw_sigmas(sample.points, lam), "raw")
 
 
@@ -136,7 +127,6 @@ class FiniteStageExtension:
     """
 
     aux: AuxFunctionSample
-    lam_max: MultiIndex
     completion_norm: float          # |G_F|
     identity_residual: float        # eq-(8)-type sandwich agreement with raw sigma
     defect_min_eig: float           # min eig of k_F - S_F k_F S_F^*
@@ -200,8 +190,7 @@ def extend_aux_finite(sample: PointSample, lam: MultiIndex,
     # of 1 / (1 - z conj(w)) exceeds that class's Hermitian check
     contact = np.eye(n) - sigmas[:, None] @ sigmas.conj().transpose(0, 2, 1)[None]
     pointwise = np.kron(ks, np.ones((n, n))) * HermitianKernel(sample, contact).assembled()
-    return FiniteStageExtension(ext, lam_m, norm_G, res8, defect_eig, min_eig(pointwise), S,
-                                boundary)
+    return FiniteStageExtension(ext, norm_G, res8, defect_eig, min_eig(pointwise), S, boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import auxfun, kernels, opmodel, pick, realize, serialize
+from ._linalg import spectral_norm
 from .serialize import FormatError
 
 EXIT_OK = 0
@@ -108,15 +109,20 @@ def _solver_echo(params, args) -> dict:
             "force_iterative": params.force_iterative}
 
 
+def _revalidate(sample, preordering, params, cert, cert_R, witness, witness_R) -> None:
+    """Refuse to emit a certificate or witness, if given, failing on its target R."""
+    if cert is not None and not realize.validate_certificate_target(
+            sample, preordering, cert_R, cert, params.feas_tol)[0]:
+        raise ArithmeticError("certificate failed re-validation; refusing to emit")
+    if witness is not None and realize.validate_witness_target(
+            sample, preordering, witness_R, witness.kernel, params.feas_tol) is None:
+        raise ArithmeticError("witness failed re-validation; refusing to emit")
+
+
 def _decided(header: dict, result, sample, preordering, R, params) -> tuple[dict, int]:
     """The decision step: re-validate result on target R before anything is
     written, then the header followed by the result, and the status's exit code."""
-    if result.certificate is not None and not realize.validate_certificate_target(
-            sample, preordering, R, result.certificate, params.feas_tol)[0]:
-        raise ArithmeticError("certificate failed re-validation; refusing to emit")
-    if result.witness is not None and realize.validate_witness_target(
-            sample, preordering, R, result.witness.kernel, params.feas_tol) is None:
-        raise ArithmeticError("witness failed re-validation; refusing to emit")
+    _revalidate(sample, preordering, params, result.certificate, R, result.witness, R)
     return {**header, **serialize.result_to_json(result)}, STATUS_EXIT[result.status]
 
 
@@ -199,7 +205,7 @@ def cmd_eval(doc, args):
         raise FormatError("$.points", "expected an array of points, got one [re, im] pair")
     W = realize.eval_transfer(col, pts.reshape(len(pts), math.prod(pts.shape[1:])))
     return {"command": "eval", "values": serialize.array_to_json(W),
-            "norms": np.linalg.norm(W, 2, axis=(1, 2)).tolist()}, EXIT_OK
+            "norms": spectral_norm(W).tolist()}, EXIT_OK
 
 
 def cmd_norm(doc, args):
@@ -209,6 +215,10 @@ def cmd_norm(doc, args):
     tol = serialize.json_number(doc, "tol", 1e-6)
     c = serialize.json_number(doc, "c", None)
     result = realize.schur_agler_norm(phi, pre, tol, params)
+    # each end on its own target; c_hi is inf when there is no certificate
+    cert_R = None if result.certificate is None else realize.target_blocks(phi, result.c_hi)
+    _revalidate(phi.sample, pre, params, result.certificate, cert_R,
+                result.witness, realize.target_blocks(phi, result.c_lo))
     body = {"command": "norm", "solver": _solver_echo(params, args),
             "c_lo": result.c_lo, "c_hi": result.c_hi if math.isfinite(result.c_hi) else None,
             "resolved": result.resolved,
@@ -246,7 +256,7 @@ def cmd_vn(doc, args):
             raise FormatError("$.tuple", "tuple is not contractive")
         T, rescaled = T.scaled(1 - 1e-6), True
     W = opmodel.eval_colligation_at_tuple(col, T)
-    norm = float(np.linalg.norm(W, 2))
+    norm = spectral_norm(W)
     return {"command": "vn", "norm": norm, "bound_satisfied": norm <= 1 + 1e-9,
             "rescaled": rescaled, "value": serialize.array_to_json(W)}, EXIT_OK
 

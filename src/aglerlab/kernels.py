@@ -58,11 +58,18 @@ class PointSample:
         return hash((self.points.shape, self.points.tobytes()))
 
 
+def sample_multi_index(sample: PointSample, lam) -> MultiIndex:
+    """lam as a tuple of ints, checked to have one entry per sample coordinate."""
+    lam = tuple(int(v) for v in lam)
+    if len(lam) != sample.d:
+        raise ValueError(f"multi-index dimension {len(lam)} != sample dimension {sample.d}")
+    return lam
+
+
 def defect_factor(sample: PointSample, lam: MultiIndex) -> np.ndarray:
     """Scalar kernel matrix prod_i (1 - psi_i(x) conj(psi_i(y)))^{lam_i}."""
     pts = sample.points
-    if len(lam) != sample.d:
-        raise ValueError(f"multi-index dimension {len(lam)} != sample dimension {sample.d}")
+    lam = sample_multi_index(sample, lam)
     D = np.ones((sample.n_points, sample.n_points), dtype=complex)
     for i, e in enumerate(lam):
         if e:
@@ -74,8 +81,7 @@ def szego_factor(sample: PointSample, lam: MultiIndex) -> np.ndarray:
     """Scalar Szego matrix prod_{i: lam_i=1} (1 - psi_i(x) conj(psi_i(y)))^{-1}."""
     if not is_zero_one(lam):
         raise ValueError(f"Szego kernel needs a 0/1 multi-index, got {lam}")
-    if len(lam) != sample.d:
-        raise ValueError(f"multi-index dimension {len(lam)} != sample dimension {sample.d}")
+    lam = sample_multi_index(sample, lam)
     pts = sample.points
     K = np.ones((sample.n_points, sample.n_points), dtype=complex)
     for i, e in enumerate(lam):
@@ -200,8 +206,6 @@ def is_admissible(K: HermitianKernel, preordering: Preordering,
     ok, base_eig = psd_check(K, tol)
     eigs: dict = {}
     worst_lam, worst_eig, worst_vec = None, base_eig if not ok else np.inf, None
-    if not ok:
-        worst_vec = None
     for lam in minimal_reduction(preordering):
         defK = scalar_schur(K, defect_factor(K.sample, lam))
         A = hermitize(defK.assembled())
@@ -237,9 +241,6 @@ class KolmogorovFactor:
     sample: PointSample
     rank: int
     gammas: np.ndarray  # (N, m, rank)
-
-    def factor(self, x: int) -> np.ndarray:
-        return self.gammas[x]
 
     def reassemble(self) -> HermitianKernel:
         blocks = np.einsum("xir,yjr->xyij", self.gammas, self.gammas.conj())

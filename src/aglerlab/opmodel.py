@@ -50,7 +50,7 @@ class CommutingTuple:
         return self.matrices[0].shape[0]
 
     def norms(self) -> list[float]:
-        return [spectral_norm(M) for M in self.matrices]
+        return spectral_norm(np.array(self.matrices)).tolist()
 
     def is_contractive(self, slack: float = 1e-12) -> bool:
         return all(n <= 1 + slack for n in self.norms())

@@ -17,7 +17,7 @@ from .auxfun import AuxFunctionSample, monomial_rows
 from .kernels import PointSample
 from .preorder import MultiIndex, Preordering, classify
 from .realize import (AglerCertificate, Colligation, DecomposeResult, SolverParams,
-                      decide_target, eval_transfer, lurking_colligation)
+                      decide_target, eval_transfer, lurking_colligation, pick_target)
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class PickProblem:
 
     def target_blocks(self) -> np.ndarray:
         """(a_x a_y^* - b_x b_y^*) as (N, N, m, m) blocks."""
-        return (np.einsum("xij,ykj->xyik", self.a, self.a.conj())
-                - np.einsum("xij,ykj->xyik", self.b, self.b.conj()))
+        return pick_target(self.a, self.b)
 
 
 def pick_feasible(problem: PickProblem,

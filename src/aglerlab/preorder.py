@@ -128,7 +128,6 @@ class Classification:
     """
 
     kind: str
-    maximal_elements: tuple[MultiIndex, ...]
     lambda_max: MultiIndex | None = None
     lambda1: MultiIndex | None = None
     lambda2: MultiIndex | None = None
@@ -148,7 +147,7 @@ def classify(p: Preordering) -> Classification:
     if len(maxima) == 1:
         lam_m = maxima[0]
         kind = "standard-ample" if lam_m == ones else "ample"
-        return Classification(kind, tuple(maxima), lambda_max=lam_m)
+        return Classification(kind, lambda_max=lam_m)
     if len(maxima) == 2:
         l1, l2 = maxima
         join = tuple(max(a, b) for a, b in zip(l1, l2))
@@ -156,9 +155,8 @@ def classify(p: Preordering) -> Classification:
         d2 = tuple(a - b for a, b in zip(join, l2))
         if weight(d1) == 1 and weight(d2) == 1 and d1 != d2:
             kind = "standard-nearly-ample" if join == ones else "nearly-ample"
-            return Classification(kind, tuple(maxima), lambda_max=join,
-                                  lambda1=l1, lambda2=l2)
-    return Classification("general", tuple(maxima))
+            return Classification(kind, lambda_max=join, lambda1=l1, lambda2=l2)
+    return Classification("general")
 
 
 def parity_split(lam: MultiIndex) -> tuple[list[MultiIndex], list[MultiIndex]]:

@@ -132,8 +132,10 @@ def array_to_json(arr: np.ndarray):
 def json_to_array(doc, path: str = "$") -> np.ndarray:
     """Nested [re, im] lists back to a complex ndarray."""
     def parse(node, p):
-        if isinstance(node, list) and len(node) == 2 and all(
-                isinstance(v, (int, float)) for v in node):
+        if isinstance(node, list) and len(node) == 2 and not any(
+                isinstance(v, list) for v in node):
+            for i, v in enumerate(node):
+                _check_type(v, (int, float), "a number in an [re, im] pair", f"{p}[{i}]")
             return complex(node[0], node[1])
         if isinstance(node, list):
             return [parse(v, f"{p}[{i}]") for i, v in enumerate(node)]
@@ -205,8 +207,11 @@ def preordering_to_json(p: Preordering):
 def json_to_preordering(doc, path: str = "$.preordering") -> Preordering:
     if not isinstance(doc, list) or not all(isinstance(l, list) for l in doc):
         raise FormatError(path, "preordering must be an array of integer arrays")
+    for i, lam in enumerate(doc):
+        for j, v in enumerate(lam):
+            _check_type(v, (int,), "an integer", f"{path}[{i}][{j}]")
     try:
-        return Preordering([tuple(int(v) for v in lam) for lam in doc])
+        return Preordering([tuple(lam) for lam in doc])
     except (TypeError, ValueError) as exc:
         raise FormatError(path, str(exc)) from None
 
@@ -270,9 +275,11 @@ def json_to_colligation(doc, path: str = "$") -> Colligation:
             raise FormatError(f"{path}.partition[{i}]",
                               "need lambda, an array of integers, and an integer mult")
         part.append((tuple(entry["lambda"]), entry["mult"]))
+    contractive = doc.get("contractive", False)
+    _check_type(contractive, (bool,), "a boolean", f"{path}.contractive")
     try:
         return Colligation(mats["A"], mats["B"], mats["C"], mats["D"], tuple(part),
-                           contractive=bool(doc.get("contractive", False)))
+                           contractive=contractive)
     except ValueError as exc:
         raise FormatError(path, str(exc)) from None
 

@@ -391,11 +391,27 @@ def test_pick_refuses_witness_failing_revalidation(tmp_path, capsys, monkeypatch
     from aglerlab.realize import DecomposeResult, Witness
 
     def bogus(problem, params=None):  # the all-ones kernel pairs positively with a feasible target
-        return DecomposeResult("infeasible", None, Witness(ones_kernel(problem.nodes), -1.0,
-                                                           0.0, 0.0), 0.0, 0)
+        return DecomposeResult("infeasible", None, Witness(ones_kernel(problem.nodes), -1.0),
+                               0.0, 0)
 
     monkeypatch.setattr(pick, "pick_feasible", bogus)
     code, doc = run_cli(["pick"], tmp_path, TestPickCommand.payload)
+    assert code == 1 and doc is None
+    assert "refusing to emit" in capsys.readouterr().err
+
+
+def test_norm_refuses_ends_failing_revalidation(tmp_path, capsys, monkeypatch):
+    import aglerlab.realize as realize
+    bracket = realize.schur_agler_norm
+
+    def doubled(*args, **kwargs):  # every Gamma doubled: the identity no longer reassembles
+        out = bracket(*args, **kwargs)
+        cert = out.certificate
+        gammas = {lam: HermitianKernel(K.sample, 2 * K.blocks) for lam, K in cert.gammas.items()}
+        return replace(out, certificate=replace(cert, gammas=gammas))
+
+    monkeypatch.setattr(realize, "schur_agler_norm", doubled)
+    code, doc = run_cli(["norm"], tmp_path, coordinate_fixture(np.random.default_rng(16)))
     assert code == 1 and doc is None
     assert "refusing to emit" in capsys.readouterr().err
 
@@ -438,6 +454,18 @@ def _two_point(preordering):
     ("brehmer", [], {"name": "kv", "preordering": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                      "tol": -1e-300}, None, "$.tol: must be finite and >= 0"),
     ("norm", [], {"tol": -1}, None, "$.tol: must be finite and >= 0"),
+    ("decompose", [], {"phi": [[[[False, 0.0]]], [[[0.1, 0.0]]]]}, None,
+     "$.phi[0][0][0][0]: must be a number"),
+    ("decompose", [], {"preordering": [[True, 0], [0, 1]]}, None,
+     "$.preordering[0][0]: must be an integer"),
+    ("decompose", [], {"preordering": [[1, 0], [0, 1.5]]}, None,
+     "$.preordering[1][1]: must be an integer"),
+    ("decompose", [], {"preordering": [["1", 0], [0, 1]]}, None,
+     "$.preordering[0][0]: must be an integer"),
+    ("eval", [], {"colligation": {**colligation_to_json(Colligation(  # W = 1/2, not unitary
+        np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.5]], (), contractive=True)),
+        "contractive": "false"}, "points": [[[0.1, 0.0], [0.2, 0.0]]]},
+     None, "$.colligation.contractive: must be a boolean"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from aglerlab.kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                               is_subordinate, kolmogorov, ones_kernel, psd_check,
-                              scalar_schur, schur_product, szego_kernel)
+                              scalar_schur, schur_product, szego_factor, szego_kernel)
+from aglerlab.auxfun import aux_function, psi_rows
 from aglerlab.preorder import Preordering, standard_ample
 from aglerlab.sampling import random_points, random_psd_kernel
 
@@ -284,3 +285,10 @@ def test_diagonal_kernel_matches_per_point_reference(d, n_points, m, seed):
     for x in range(n_points):
         blocks[x, x] = np.eye(m)
     assert np.array_equal(diagonal_kernel(s, m).blocks, blocks)
+
+
+@pytest.mark.parametrize("build", [defect_factor, szego_factor, psi_rows, aux_function])
+def test_multi_index_of_another_dimension_is_refused(build):
+    s = random_points(np.random.default_rng(3), 3, 2)
+    with pytest.raises(ValueError, match=r"^multi-index dimension 3 != sample dimension 2$"):
+        build(s, (1, 0, 1))

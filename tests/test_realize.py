@@ -5,14 +5,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from aglerlab._linalg import DEFAULT_TOL, polar_isometry
 from aglerlab.kernels import (HermitianKernel, PointSample, defect_factor, kolmogorov,
-                              ones_kernel)
+                              ones_kernel, psd_check)
 from aglerlab.opmodel import kv_polynomial
+from aglerlab.pick import PickProblem
 from aglerlab.preorder import (Preordering, classical, minimal_reduction, parity_split,
                                standard_ample, standard_nearly_ample, unit, weight)
 from aglerlab.realize import (Colligation, FunctionSample, SolverParams,
                               agler_decompose, ample_membership, decide_target,
                               eval_transfer, lurking_colligation, lurking_isometry,
-                              schur_agler_norm, transfer_compose,
+                              pick_target, schur_agler_norm, target_blocks, transfer_compose,
                               validate_certificate, validate_witness)
 from aglerlab.sampling import (random_classical_colligation, random_points,
                                random_transfer_sample, random_unitary)
@@ -94,6 +95,22 @@ class TestDecompose:
         wit = validate_witness(phi, Preordering([(1,)]), 0.4, ones_kernel(s), 1e-8)
         assert wit is not None
         assert wit.pairing == pytest.approx(-0.09)
+
+    def test_witness_validation_eigen_solves_once(self, monkeypatch):
+        import aglerlab.kernels as kernels
+        import aglerlab.realize as realize
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return psd_check(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "psd_check", counted)
+        monkeypatch.setattr(realize, "psd_check", counted)
+        s = sample_of(0.5)
+        phi = FunctionSample(s, np.array([0.5 + 0j]))
+        assert validate_witness(phi, Preordering([(1,)]), 0.4, ones_kernel(s), 1e-8) is not None
+        assert len(calls) == 1
 
     def test_statuses_are_validated_before_return(self):
         rng = RNG(5)
@@ -621,3 +638,22 @@ def test_norm_keeps_iterating_past_an_unresolved_try(key):
     assert out.resolved and out.c_hi - out.c_lo <= 1e-4
     assert validate_certificate(phi, classical(2), out.c_hi, out.certificate, 1e-8)[0]
     assert validate_witness(phi, classical(2), out.c_lo, out.witness.kernel, 1e-8) is not None
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("c", [0.0, 0.9, 1.0, 1.3])
+def test_decomposition_target_is_the_pick_target_with_a_constant(m, c):
+    """c^2 1 - phi phi^* is the Pick target with a = c 1_m and b = phi, and both
+    have the bits of the direct forms, which write the blocks in (x, y, i, k) order."""
+    for seed in range(30):
+        phi, _ = random_transfer_sample(RNG([41, seed, m]), 4, 2, m)
+        N, vals = phi.sample.n_points, phi.values
+        direct = np.tile(c * c * np.eye(m, dtype=complex), (N, N, 1, 1))
+        direct -= np.einsum("xij,ykj->xyik", vals, vals.conj())
+        pick = PickProblem(phi.sample, np.tile(c * np.eye(m), (N, 1, 1)), vals, classical(2))
+        assert target_blocks(phi, c).tobytes() == direct.tobytes()
+        assert pick.target_blocks().tobytes() == direct.tobytes()
+        a = 0.7 * vals.conj() + c
+        assert pick_target(a, vals).tobytes() == (
+            np.einsum("xij,ykj->xyik", a, a.conj())
+            - np.einsum("xij,ykj->xyik", vals, vals.conj())).tobytes()
