@@ -20,22 +20,23 @@ script runs against any tree.  The corpus:
 - norm at c on standard_ample(2) and classical(2), c in {0.9, 1.3};
 - norm brackets at tol 1e-4 and tol 0 on classical(2) at N in {4, 8} and
   standard_nearly_ample(3,0,1) at N = 4;
-- norm brackets at tol 1e-4 under the norm-bracket workload's solver budget
+- norm brackets at tol 1e-4 under the norm-bracket workload's max_iter
   on three of its ops whose solves end short of tol and on five whose first
-  certificate within tol fails at the solver's own bound, and a decompose
-  document that sets the no-effect fields stall_window and stall_rtol;
-- decompose, realize, norm and pick under --feas-tol and --max-iter, and one
-  decompose document read from stdin and reported to stdout;
+  certificate within tol fails at the solver's own bound;
+- decompose, realize, norm and pick with $.solver setting feas_tol and
+  max_iter, and one decompose document read from stdin and reported to stdout;
 - constant colligations (state space E = 0) through eval and vn, and
   check-kernel on an indefinite kernel;
 - malformed documents: missing points or phi, mistyped c or tol, preorderings
-  of the wrong dimension, solver fields and flags out of range, seeds of the
-  wrong type, NaN, Infinity and 1e999 where a number goes, a point written
+  of the wrong dimension, solver fields out of range, the solver fields seed,
+  stall_window and stall_rtol, which are unknown, NaN, Infinity and 1e999
+  where a number goes, a point written
   without its list, Pick data sized for the wrong node count, negative
   and zero tolerances, a boolean in phi, a boolean, a fraction and a string
   in a preordering, and a string contractive flag on a colligation;
-- command lines that argparse refuses: a mistyped --max-iter, an unknown
-  command and an unknown flag.
+- command lines that argparse refuses: the removed flags --feas-tol,
+  --max-iter and --seed, an unknown command and an unknown flag;
+- an --output in a directory that does not exist, and one that is a directory.
 Every command runs in-process through `aglerlab.cli.main`, with the output
 directory as working directory so that no report holds an absolute path.
 An exception or SystemExit that escapes `main` is recorded as its own outcome.
@@ -239,21 +240,15 @@ def norm_brackets(corpus: Corpus) -> None:
 
 def short_solves(corpus: Corpus) -> None:
     """norm-bracket ops (seed, op) whose solves stop before their bounds meet,
-    five whose first certificate within tol fails at the solver's own bound,
-    so that the solve goes on to a narrower bracket, and a decompose document
-    that sets the stall fields, which have no effect; a bracket-stall rule set
-    that way ends its solve unresolved after 3 steps."""
+    and five whose first certificate within tol fails at the solver's own
+    bound, so that the solve goes on to a narrower bracket."""
     pre_json = preordering_to_json(classical(2))
     for seed, op in ((3, 40), (9, 58), (201, 52), (5, 43), (8, 13), (8, 43), (26, 43),
                      (28, 16)):
         phi, _ = random_transfer_sample(np.random.default_rng([seed, op]), 8, 2)
         corpus.doc(f"norm-bracket-{seed}-{op}", ["norm"],
                    {**function_sample_to_json(phi), "preordering": pre_json, "tol": 1e-4,
-                    "solver": {"max_iter": 3000, "stall_rtol": 1e-9}})
-    phi, _ = random_transfer_sample(np.random.default_rng([1, 1]), 4, 2)
-    corpus.doc("decompose-stall-fields", ["decompose"],
-               {**function_sample_to_json(phi), "preordering": pre_json, "c": 0.9,
-                "solver": {"stall_window": 1, "stall_rtol": 0.5}})
+                    "solver": {"max_iter": 3000}})
 
 
 def two_point(pre) -> dict:
@@ -263,22 +258,22 @@ def two_point(pre) -> dict:
             "preordering": preordering_to_json(pre)}
 
 
-def flags(corpus: Corpus) -> None:
+def solver_settings(corpus: Corpus) -> None:
     classical_doc, ample_doc = two_point(classical(2)), two_point(standard_ample(2))
     phi, _ = random_transfer_sample(np.random.default_rng(23), 4, 2)
     pick_doc = {"points": points_to_json(phi.sample),
                 "a": array_to_json(np.ones((4, 1, 1))), "b": array_to_json(0.8 * phi.values),
                 "preordering": preordering_to_json(classical(2))}
-    runs = [("decompose", classical_doc, ["--feas-tol", "1e-6"]),
-            ("decompose", classical_doc, ["--max-iter", "3"]),
-            ("decompose", classical_doc, ["--max-iter", "0"]),
-            ("realize", classical_doc, ["--feas-tol", "1e-7", "--max-iter", "100"]),
-            ("norm", {**classical_doc, "tol": 1e-4}, ["--max-iter", "40"]),
-            ("norm", {**ample_doc, "c": 0.3}, ["--feas-tol", "1e-9"]),
-            ("pick", pick_doc, ["--feas-tol", "1e-7"]),
-            ("pick", pick_doc, ["--max-iter", "2"])]
-    for i, (command, doc, flag) in enumerate(runs):
-        corpus.doc(f"flags-{i}-{command}", [command] + flag, doc)
+    runs = [("decompose", classical_doc, {"feas_tol": 1e-6}),
+            ("decompose", classical_doc, {"max_iter": 3}),
+            ("decompose", classical_doc, {"max_iter": 0}),
+            ("realize", classical_doc, {"feas_tol": 1e-7, "max_iter": 100}),
+            ("norm", {**classical_doc, "tol": 1e-4}, {"max_iter": 40}),
+            ("norm", {**ample_doc, "c": 0.3}, {"feas_tol": 1e-9}),
+            ("pick", pick_doc, {"feas_tol": 1e-7}),
+            ("pick", pick_doc, {"max_iter": 2})]
+    for i, (command, doc, solver) in enumerate(runs):
+        corpus.doc(f"solver-{i}-{command}", [command], {**doc, "solver": solver})
     corpus.run("stdin-decompose", ["decompose"], dumps(classical_doc))
 
 
@@ -298,7 +293,8 @@ def edge_documents(corpus: Corpus) -> None:
 
 
 def malformed_inputs(corpus: Corpus) -> None:
-    """Documents and flags that must exit 1 with the field or flag named."""
+    """Documents and command lines that must exit 1 with the field, flag or
+    path named."""
     classical_doc, ample_doc = two_point(classical(2)), two_point(standard_ample(2))
     long_pre = {"preordering": [[1, 1, 1]]}
     for command in ("decompose", "realize", "norm"):
@@ -319,7 +315,7 @@ def malformed_inputs(corpus: Corpus) -> None:
                ample_doc)
     corpus.doc("bad-decompose-feas-tol", ["decompose"],
                {**classical_doc, "solver": {"feas_tol": -1}})
-    for name, seed in (("float", 1.5), ("bool", True), ("string", "abc")):
+    for name, seed in (("int", 0), ("float", 1.5), ("bool", True), ("string", "abc")):
         corpus.doc(f"bad-decompose-seed-{name}", ["decompose"],
                    {**classical_doc, "solver": {"seed": seed}})
     # 12345.5 stands in for the token that dumps cannot write
@@ -333,6 +329,10 @@ def malformed_inputs(corpus: Corpus) -> None:
                replace=(dumps(ample_doc["phi"][1][0][0][0]), "1e999"))
     corpus.doc("bad-decompose-point-nan", ["decompose"], ample_doc,
                replace=(dumps(ample_doc["points"][1][0][0]), "NaN"))
+    phi, _ = random_transfer_sample(np.random.default_rng([1, 1]), 4, 2)
+    corpus.doc("decompose-stall-fields", ["decompose"],
+               {**function_sample_to_json(phi), "preordering": preordering_to_json(classical(2)),
+                "c": 0.9, "solver": {"stall_window": 1, "stall_rtol": 0.5}})
     corpus.doc("bad-decompose-solver-rtol-nan", ["decompose"],
                {**ample_doc, "solver": {"stall_rtol": 12345.5}}, replace=("12345.5", "NaN"))
     rng = np.random.default_rng(29)
@@ -357,6 +357,8 @@ def malformed_inputs(corpus: Corpus) -> None:
     for name, argv in (("max-iter-abc", ["decompose", "--max-iter", "abc"]),
                        ("unknown-command", ["bogus"]), ("unknown-flag", ["decompose", "--nope"])):
         corpus.run(f"usage-{name}", argv)
+    corpus.run("output-missing-dir", ["example", "kv", "--output", "no/such/dir/out.json"])
+    corpus.run("output-directory", ["example", "kv", "--output", "reports"])
 
 
 def main() -> None:
@@ -377,7 +379,7 @@ def main() -> None:
     norm_at_c(corpus)
     norm_brackets(corpus)
     short_solves(corpus)
-    flags(corpus)
+    solver_settings(corpus)
     edge_documents(corpus)
     malformed_inputs(corpus)
     tally = ", ".join(f"{n} x {code}" for code, n in sorted(corpus.exits.items(), key=str))

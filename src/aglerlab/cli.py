@@ -1,7 +1,9 @@
 """Batch front end: JSON problems in, machine-readable reports out.
 
 One pipeline: `main` reads the document, a command body checks its fields and
-returns (report body, exit code), and `main` emits the report once.
+returns (report body, exit code), and `main` emits the report once.  A report
+is a function of its document: the flags choose only where the document comes
+from and where the report and progress notes go.
 
 Exit codes: 0 success, 2 infeasible with witness, 3 unresolved, 1 usage or
 input errors.  AGLER_LAB_THREADS is applied when the package is imported,
@@ -33,12 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="input JSON file (default: stdin)")
     common.add_argument("--output", help="output JSON file (default: stdout)")
-    common.add_argument("--feas-tol", type=float, default=None,
-                        help="decomposition residual tolerance (default 1e-8)")
-    common.add_argument("--max-iter", type=int, default=None,
-                        help="Newton-step cap for the interior-point solver")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed echoed in reports; no command is randomized")
     common.add_argument("--quiet", action="store_true", help="suppress progress notes")
 
     parser = argparse.ArgumentParser(
@@ -93,20 +89,6 @@ def _preordering(doc: dict, d: int):
     if pre.d != d:
         raise FormatError("$.preordering", f"dimension {pre.d} != point dimension {d}")
     return pre
-
-
-def _solver_params(doc: dict, args) -> realize.SolverParams:
-    """$.solver with the flags applied; a flag value passes the field's own check."""
-    params = serialize.solver_params_from_json(doc.get("solver"))
-    for key, flag in (("feas_tol", "--feas-tol"), ("max_iter", "--max-iter")):
-        if getattr(args, key) is not None:
-            setattr(params, key, serialize.solver_field(key, getattr(args, key), flag))
-    return params
-
-
-def _solver_echo(params, args) -> dict:
-    return {"feas_tol": params.feas_tol, "max_iter": params.max_iter, "seed": args.seed,
-            "force_iterative": params.force_iterative}
 
 
 def _revalidate(sample, preordering, params, cert, cert_R, witness, witness_R) -> None:
@@ -185,10 +167,10 @@ def cmd_decompose(doc, args):
     phi = serialize.json_to_function_sample(doc, "$")
     pre = _preordering(doc, phi.sample.d)
     c = serialize.json_number(doc, "c", 1.0)
-    params = _solver_params(doc, args)
+    params = serialize.solver_params_from_json(doc.get("solver"))
     result = realize.agler_decompose(phi, pre, c, params)
     body, code = _decided({"command": args.command, "c": c,
-                           "solver": _solver_echo(params, args)},
+                           "solver": serialize.solver_params_to_json(params)},
                           result, phi.sample, pre, realize.target_blocks(phi, c), params)
     if args.command == "realize" and result.feasible:
         col = realize.lurking_isometry(result.certificate, phi, params.feas_tol)
@@ -211,7 +193,7 @@ def cmd_eval(doc, args):
 def cmd_norm(doc, args):
     phi = serialize.json_to_function_sample(doc, "$")
     pre = _preordering(doc, phi.sample.d)
-    params = _solver_params(doc, args)
+    params = serialize.solver_params_from_json(doc.get("solver"))
     tol = serialize.json_number(doc, "tol", 1e-6)
     c = serialize.json_number(doc, "c", None)
     result = realize.schur_agler_norm(phi, pre, tol, params)
@@ -219,7 +201,7 @@ def cmd_norm(doc, args):
     cert_R = None if result.certificate is None else realize.target_blocks(phi, result.c_hi)
     _revalidate(phi.sample, pre, params, result.certificate, cert_R,
                 result.witness, realize.target_blocks(phi, result.c_lo))
-    body = {"command": "norm", "solver": _solver_echo(params, args),
+    body = {"command": "norm", "solver": serialize.solver_params_to_json(params),
             "c_lo": result.c_lo, "c_hi": result.c_hi if math.isfinite(result.c_hi) else None,
             "resolved": result.resolved,
             "sup_norm": phi.sup_norm(),
@@ -270,9 +252,10 @@ def cmd_pick(doc, args):
                                           f"got shape {data.shape}")
     pre = _preordering(doc, nodes.d)
     problem = pick.PickProblem(nodes, a, b, pre)
-    params = _solver_params(doc, args)
+    params = serialize.solver_params_from_json(doc.get("solver"))
     result = pick.pick_feasible(problem, params)
-    body, code = _decided({"command": "pick", "solver": _solver_echo(params, args)},
+    body, code = _decided({"command": "pick",
+                           "solver": serialize.solver_params_to_json(params)},
                           result, nodes, pre, problem.target_blocks(), params)
     if result.feasible:
         sol = pick.pick_solve(problem, result.certificate, params.feas_tol)
@@ -321,7 +304,11 @@ def main(argv=None) -> int:
         body, code = COMMANDS[args.command][0](doc, args)
         report = serialize.report(body)
         if args.output:
-            serialize.write_atomic(args.output, report)
+            try:
+                serialize.write_atomic(args.output, report)
+            except OSError as exc:  # missing or read-only directory, or the path is a directory
+                print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+                return EXIT_USAGE
             if not args.quiet:
                 print(f"wrote {args.output}", file=sys.stderr)
         else:

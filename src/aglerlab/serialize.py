@@ -321,15 +321,11 @@ def json_to_tuple(doc, path: str = "$"):
 
 
 _NUMBER = ((int, float), "a number")
-# field: (JSON types, type name, range check or None, range description); the
-# solver stops on its own step lengths, so the stall fields have no effect
+# the solver fields: (JSON types, type name, range check or None, range description)
 _SOLVER_FIELDS = {
     "feas_tol": (*_NUMBER, lambda v: math.isfinite(v) and v > 0, "finite and positive"),
-    "stall_rtol": (*_NUMBER, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
     "max_iter": ((int,), "an integer", lambda v: v >= 0, ">= 0"),
-    "stall_window": ((int,), "an integer", lambda v: v >= 1, ">= 1"),  # no SolverParams field
     "force_iterative": ((bool,), "a boolean", None, ""),
-    "seed": ((int,), "an integer", None, ""),  # no SolverParams field: reports echo --seed
 }
 
 
@@ -352,29 +348,28 @@ def json_number(doc: dict, key: str, default):
     return float(doc[key])
 
 
-def solver_field(key: str, val, path: str):
-    """A solver parameter checked for its JSON type and range; path names it in
-    errors, as $.solver.<field> or as the command-line flag that set it."""
-    if key not in _SOLVER_FIELDS:
-        raise FormatError(path, "unknown solver parameter")
-    types, name, valid, rule = _SOLVER_FIELDS[key]
-    _check_type(val, types, name, path)
-    if valid is not None and not valid(val):
-        raise FormatError(path, f"must be {rule}")
-    return val
-
-
 def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
+    """$.solver, each field checked for its JSON type and range; any other key
+    is refused."""
     params = SolverParams()
     if doc is None:
         return params
     if not isinstance(doc, dict):
         raise FormatError(path, "solver must be an object")
     for key, val in doc.items():
-        val = solver_field(key, val, f"{path}.{key}")
-        if hasattr(params, key):
-            setattr(params, key, type(getattr(params, key))(val))
+        if key not in _SOLVER_FIELDS:
+            raise FormatError(f"{path}.{key}", "unknown solver parameter")
+        types, name, valid, rule = _SOLVER_FIELDS[key]
+        _check_type(val, types, name, f"{path}.{key}")
+        if valid is not None and not valid(val):
+            raise FormatError(f"{path}.{key}", f"must be {rule}")
+        setattr(params, key, type(getattr(params, key))(val))
     return params
+
+
+def solver_params_to_json(params: SolverParams) -> dict:
+    """The report's echo: every field that $.solver accepts, in that order."""
+    return {key: getattr(params, key) for key in _SOLVER_FIELDS}
 
 
 def result_to_json(result: DecomposeResult) -> dict:

@@ -348,6 +348,18 @@ class TestNorm:
         assert validate_certificate(phi, classical(2), out.c_hi, out.certificate, 1e-8)[0]
 
 
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_of_a_transfer_sample_is_at_most_one(seed, N):
+    # the transfer function of a classical colligation has an Agler decomposition
+    # at c = 1, so c* <= 1; at N = 24 and 32 the same family still fails this
+    # (c_hi infinite or far above 1), for want of sound upper ends
+    tol = 1e-4
+    phi, _ = random_transfer_sample(RNG([7, seed, N]), N, 2)
+    out = schur_agler_norm(phi, classical(2), tol)
+    assert out.resolved and out.c_hi <= 1 + tol
+
+
 class TestAmpleConsistency:
     def test_iterative_agrees_with_membership_near_boundary(self):
         rng = RNG(22)
