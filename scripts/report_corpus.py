@@ -36,7 +36,8 @@ script runs against any tree.  The corpus:
   in a preordering, and a string contractive flag on a colligation;
 - command lines that argparse refuses: the removed flags --feas-tol,
   --max-iter and --seed, an unknown command and an unknown flag;
-- an --output in a directory that does not exist, and one that is a directory.
+- an --input that does not exist and one that is a directory, and an --output
+  in a directory that does not exist and one that is a directory.
 Every command runs in-process through `aglerlab.cli.main`, with the output
 directory as working directory so that no report holds an absolute path.
 An exception or SystemExit that escapes `main` is recorded as its own outcome.
@@ -357,6 +358,8 @@ def malformed_inputs(corpus: Corpus) -> None:
     for name, argv in (("max-iter-abc", ["decompose", "--max-iter", "abc"]),
                        ("unknown-command", ["bogus"]), ("unknown-flag", ["decompose", "--nope"])):
         corpus.run(f"usage-{name}", argv)
+    corpus.run("input-missing", ["decompose", "--input", "no/such.json"])
+    corpus.run("input-directory", ["decompose", "--input", "docs"])
     corpus.run("output-missing-dir", ["example", "kv", "--output", "no/such/dir/out.json"])
     corpus.run("output-directory", ["example", "kv", "--output", "reports"])
 

@@ -63,8 +63,8 @@ def _read_input(args) -> dict:
         try:
             with open(args.input) as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise FormatError("$", f"cannot read {args.input}: {exc}") from None
+        except OSError as exc:  # a missing file, or a directory
+            raise ValueError(f"cannot read {args.input}: {exc.strerror}") from None
     else:
         text = sys.stdin.read()
     if not text.strip():

@@ -91,10 +91,12 @@ def sigma_model_min_eig(problem: PickProblem, sigma_ext: AuxFunctionSample) -> f
 @dataclass(frozen=True)
 class PickSolution:
     """Synthesized interpolant: b(x) = a(x) W(x) at the nodes; W evaluates
-    anywhere in the domain through eval_transfer on the colligation."""
+    anywhere in the domain through eval_transfer on the colligation, and
+    node_values holds its (N, p, p) values at the nodes."""
 
     colligation: Colligation
     node_residual: float
+    node_values: np.ndarray
 
 
 def pick_solve(problem: PickProblem, cert: AglerCertificate,
@@ -104,7 +106,7 @@ def pick_solve(problem: PickProblem, cert: AglerCertificate,
     node residual |a W - b|."""
     col = lurking_colligation(problem.nodes, problem.a, problem.b, cert, feas_tol)
     W = eval_transfer(col, problem.nodes.points)
-    return PickSolution(col, float(np.abs(problem.a @ W - problem.b).max()))
+    return PickSolution(col, float(np.abs(problem.a @ W - problem.b).max()), W)
 
 
 def corona_right_inverse(sample: PointSample, lam: MultiIndex,
@@ -129,6 +131,6 @@ def corona_right_inverse(sample: PointSample, lam: MultiIndex,
     if not out.feasible:
         raise ArithmeticError(f"corona problem unexpectedly {out.status}")
     sol = pick_solve(problem, out.certificate, params.feas_tol)
-    omegas = eval_transfer(sol.colligation, sample.points)[:, :, :1]
+    omegas = sol.node_values[:, :, :1]
     worst = np.abs(a @ omegas - 1.0).max()
     return omegas, sol, float(worst)

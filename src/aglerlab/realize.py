@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import (DEFAULT_TOL, block_diag, hermitian_sqrt, hermitize, polar_isometry,
                       psd_clip, spectral_norm)
-from .auxfun import psi_rows, raw_sigmas
+from .auxfun import monomial_rows, psi_rows, raw_sigmas, row_sqnorms
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                       kolmogorov, psd_check, szego_factor)
 from .preorder import (MultiIndex, Preordering, classify, is_zero_one,
@@ -600,11 +600,26 @@ class Colligation:
                            for _ in range(mult)])
 
 
+# entries of 1 - V^T A U held at once (2 MB): a few points' systems at a time keep
+# the working set near the dense solve's E x E matrices, not N r^2
+_RANGE_SOLVE_ENTRIES = 1 << 17
+
+
 def eval_transfer(col: Colligation, points) -> np.ndarray:
     """W(x) = D + C S(x) (1 - A S(x))^{-1} B at each row x of an (N, d)
     psi-value array, as (N, m, m); S(x) stacks multiplicity copies of each
-    sigma_lam(x) on the diagonal.  One dense solve per point: a stacked solve
-    over all points is no faster and holds N copies of the E x E system."""
+    sigma_lam(x) on the diagonal.
+
+    Each sigma_lam(x) = u v^T has rank one, with u = psi^+(x)^* / |psi^+(x)|^2
+    and v = psi^-(x), so S(x) = U(x) V(x)^T has rank r, the sum of the
+    multiplicities.  When some populated slot has dimension n >= 2, r < E and
+    the solve moves into the range of S by push-through:
+    W(x) = D + (C U)(1 - V^T A U)^{-1}(V^T B).  C U and V^T B take one product
+    per partition entry over all points, V^T A U one product per pair of
+    entries over a block of points, and only the r x r solve runs per point.
+    When r = E every populated slot is 1 x 1 (every classical colligation)
+    and the E x E system above is solved point by point, bit for bit as
+    before."""
     pts = np.asarray(points, dtype=complex)
     N = pts.shape[0]
     if N and col.partition and pts.shape[1] != col.d:
@@ -615,11 +630,48 @@ def eval_transfer(col: Colligation, points) -> np.ndarray:
     E = col.state_dim
     if E == 0 or N == 0:
         return W
-    sigmas = [raw_sigmas(pts, lam) for lam, _ in col.partition]
-    for x in range(N):
-        S = col.state_operator([sig[x] for sig in sigmas])
-        W[x] = col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
+    r = sum(mult for _, mult in col.partition)
+    if r == E:
+        sigmas = [raw_sigmas(pts, lam) for lam, _ in col.partition]
+        for x in range(N):
+            S = col.state_operator([sig[x] for sig in sigmas])
+            W[x] = col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
+        return W
+    m = col.output_dim
+    slots, row, k = [], 0, 0
+    for lam, mult in col.partition:  # copies fill state rows row.. and range columns k..
+        n = 2 ** (weight(lam) - 1)
+        plus, minus = monomial_rows(pts, lam)
+        slots.append((slice(row, row + mult * n), slice(k, k + mult), mult, n,
+                      plus.conj() / row_sqnorms(plus)[:, None], minus))
+        row, k = row + mult * n, k + mult
+    CU = np.empty((N, m, r), dtype=complex)
+    VB = np.empty((N, r, m), dtype=complex)
+    pairs = []  # v(x)^T A_block u2(x) for every pair of copies is one product over v (x) u2
+    for rows, cols, mult, n, u, v in slots:
+        CU[:, :, cols] = (u @ _slot_major(col.C[:, rows], mult, n)).reshape(N, m, mult)
+        VB[:, cols] = (v @ _slot_major(col.B[rows].T, mult, n)).reshape(N, m, mult) \
+            .transpose(0, 2, 1)
+        for rows2, cols2, mult2, n2, u2, _ in slots:
+            blk = col.A[rows, rows2].reshape(mult, n, mult2, n2).transpose(1, 3, 0, 2)
+            pairs.append((cols, cols2, v, u2, -blk.reshape(n * n2, mult * mult2)))
+    step = max(1, _RANGE_SOLVE_ENTRIES // (r * r))
+    for lo in range(0, N, step):
+        x = slice(lo, min(lo + step, N))
+        K = np.empty((x.stop - lo, r, r), dtype=complex)  # 1 - V^T A U
+        for cols, cols2, v, u2, blk in pairs:
+            vu = (v[x, :, None] * u2[x, None, :]).reshape(len(K), -1)
+            K[:, cols, cols2] = (vu @ blk).reshape(K[:, cols, cols2].shape)
+        K.reshape(len(K), r * r)[:, ::r + 1] += 1
+        W[x] += CU[x] @ np.linalg.solve(K, VB[x])
     return W
+
+
+def _slot_major(M: np.ndarray, mult: int, n: int) -> np.ndarray:
+    """A (p, mult*n) block whose columns run over mult copies of an n-slot, as
+    (n, p*mult): a row u of length n times it is u applied in every copy."""
+    p = M.shape[0]
+    return M.reshape(p, mult, n).transpose(2, 0, 1).reshape(n, p * mult)
 
 
 def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,

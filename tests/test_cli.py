@@ -568,6 +568,16 @@ def test_unwritable_output_exits_1(target, tmp_path, capsys):
     reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
     assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_input_exits_1(target, tmp_path, capsys):
+    inp = tmp_path / "no" / "such.json" if target == "missing" else tmp_path
+    assert main(["decompose", "--input", str(inp)]) == 1
+    reason = "No such file or directory" if target == "missing" else "Is a directory"
+    assert capsys.readouterr() == ("", f"error: cannot read {inp}: {reason}\n")
+
+
 # JSON values of the wrong type, zero or negative integers, and non-finite numbers;
 # "1e999" is spelled out in the text, where json.loads reads it as inf
 _REPLACEMENTS = ["x", True, None, {}, [], 0, -1, -3, 1.5, float("nan"), float("inf"),

@@ -142,6 +142,11 @@ class TestCorona:
         z = random_points(rng, 1, 2).points[0]
         assert np.linalg.norm(eval_transfer(sol.colligation, [z])[0], 2) <= 1 + 1e-9
 
+    def test_omegas_are_the_solutions_node_values(self):
+        s = random_points(RNG(6), 4, 2)
+        omegas, sol, _ = corona_right_inverse(s, (1, 1), standard_ample(2))
+        assert np.array_equal(omegas, eval_transfer(sol.colligation, s.points)[:, :, :1])
+
     def test_pointwise_fallback(self):
         rng = RNG(7)
         s = random_points(rng, 4, 2)

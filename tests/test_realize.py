@@ -404,7 +404,8 @@ class TestNearlyAmpleDirection:
 # ---------------------------------------------------------------------------
 # reference implementations: the per-point transfer evaluator and the
 # per-node lurking-isometry columns that the sample-wide code replaced; the
-# sample-wide code must reproduce them bit for bit
+# sample-wide code must reproduce them bit for bit, except where the transfer
+# evaluator solves in the range of S(x) (see _assert_matches_reference)
 
 
 def ref_monomial_rows_at(point, lam):
@@ -529,15 +530,49 @@ def test_eval_transfer_matches_per_point_reference(pre, m, mults, n_points, rmax
             1.0 if defect == "boundary" else 1.5)
     elif defect == "dimension":
         pts = pts[:, 1:]
+    _assert_matches_reference(col, pts)
+
+
+def _assert_matches_reference(col, pts):
+    """Bit for bit when every populated slot is 1 x 1 (rank S = E); otherwise the
+    rank-r solve differs from the E x E one by at most 64 eps cond(1 - A S(x))."""
+    m = col.output_dim
     kind, got = _outcome(lambda: eval_transfer(col, pts))
     ref_kind, ref = _outcome(lambda: np.array(
         [ref_eval_transfer(col, p) for p in pts]).reshape(len(pts), m, m))
     assert kind == ref_kind
     if kind == "error":
         assert got == ref
-    else:
-        assert got.shape == (len(pts), m, m)
+        return
+    assert got.shape == (len(pts), m, m)
+    if sum(mult for _, mult in col.partition) == col.state_dim:
         assert np.array_equal(got, ref)
+        return
+    eps = np.finfo(float).eps
+    for x, p in enumerate(pts):
+        err = np.abs(got[x] - ref[x]).max()
+        if err > 64 * eps:  # cond >= 1, so only then can the bound depend on it
+            cond = np.linalg.cond(np.eye(col.state_dim) - col.A @ ref_state_blocks(col, p))
+            assert err <= 64 * eps * cond
+
+
+def test_eval_transfer_matches_reference_on_an_ample_realization():
+    # the size the rank-r solve is for: standard_ample(2) at N = 64, m = 2
+    phi, _ = random_transfer_sample(RNG(64), 64, 2, 2)
+    phi = FunctionSample(phi.sample, 0.9 * phi.values)
+    col = lurking_isometry(agler_decompose(phi, standard_ample(2), 1.0).certificate, phi)
+    assert col.partition == (((1, 1), 126),)  # E = 252, r = 126: several blocks of points
+    _assert_matches_reference(col, phi.sample.points)
+
+
+def test_eval_transfer_matches_reference_on_mixed_slots():
+    # a 1-dimensional slot under standard_nearly_ample(3,0,1)'s two 2-dimensional
+    # ones, one of which has multiplicity 0: E = 8, r = 5
+    rng = RNG(31)
+    partition = (((0, 0, 1), 2), ((0, 1, 1), 0), ((1, 0, 1), 3))
+    U = random_unitary(rng, 8 + 2)
+    col = Colligation(U[:8, :8], U[:8, 8:], U[8:, :8], U[8:, 8:], partition)
+    _assert_matches_reference(col, random_points(rng, 12, 3, rmax=0.99).points)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
