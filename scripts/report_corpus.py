@@ -33,7 +33,9 @@ script runs against any tree.  The corpus:
   where a number goes, a point written
   without its list, Pick data sized for the wrong node count, negative
   and zero tolerances, a boolean in phi, a boolean, a fraction and a string
-  in a preordering, and a string contractive flag on a colligation;
+  in a preordering, a string contractive flag on a colligation, colligation
+  partitions whose multi-indices differ in length or whose multiplicities
+  are negative, and points of dimension 0;
 - command lines that argparse refuses: the removed flags --feas-tol,
   --max-iter and --seed, an unknown command and an unknown flag;
 - an --input that does not exist and one that is a directory, and an --output
@@ -63,7 +65,8 @@ from aglerlab.kernels import (HermitianKernel, PointSample, ones_kernel,  # noqa
                               szego_kernel)
 from aglerlab.preorder import classical, standard_ample, standard_nearly_ample  # noqa: E402
 from aglerlab.realize import Colligation, FunctionSample  # noqa: E402
-from aglerlab.sampling import random_points, random_transfer_sample  # noqa: E402
+from aglerlab.sampling import (random_classical_colligation, random_points,  # noqa: E402
+                               random_transfer_sample)
 from aglerlab.serialize import (array_to_json, colligation_to_json,  # noqa: E402
                                 function_sample_to_json, kernel_to_json, points_to_json,
                                 dumps, preordering_to_json, write_atomic)
@@ -343,7 +346,7 @@ def malformed_inputs(corpus: Corpus) -> None:
     one = [[[[1.0, 0.0]]]]
     # a boolean, fraction or string is never read as a number, an index or a flag
     corpus.doc("bad-decompose-phi-bool", ["decompose"],
-               {**classical_doc, "phi": [[[[False, 0.0]]]] + classical_doc["phi"][1:]})
+               {**classical_doc, "phi": [[[[False, 0.0]]]] + list(classical_doc["phi"][1:])})
     for name, entry in (("bool", True), ("fraction", 1.5), ("string", "1")):
         corpus.doc(f"bad-decompose-preordering-{name}", ["decompose"],
                    {**classical_doc, "preordering": [[entry, 0], [0, 1]]})
@@ -352,6 +355,21 @@ def malformed_inputs(corpus: Corpus) -> None:
     corpus.doc("bad-eval-contractive-string", ["eval"],
                {"colligation": {**colligation_to_json(half), "contractive": "false"},
                 "points": [[[0.1, 0.0], [0.2, 0.0]]]})
+    # partitions whose block shapes fit E but whose multi-indices differ in
+    # length, or whose multiplicities are negative
+    rng = np.random.default_rng(47)
+    col2, col1 = (random_classical_colligation(rng, d, max_mult=1) for d in (2, 1))
+    for name, col, part in (("mixed-length", col2, [([1, 0], 1), ([1], 1)]),
+                            ("negative-mult", col1, [([1, 0], 2), ([0, 1], -1)]),
+                            ("negative-mult-empty", half, [([1, 1], 1), ([0, 1], -2)])):
+        corpus.doc(f"bad-eval-partition-{name}", ["eval"],
+                   {"colligation": {**colligation_to_json(col), "partition": [
+                       {"lambda": lam, "mult": mult} for lam, mult in part]},
+                    "points": [[[0.1, 0.0], [0.2, 0.0]]]})
+    for command in ("decompose", "aux"):
+        corpus.doc(f"bad-{command}-points-d0", [command],
+                   {"points": [[], []], "phi": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]],
+                    "preordering": [[1]], "lambda": [1]})
     corpus.doc("bad-pick-node-count", ["pick"],
                {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "a": one, "b": one,
                 "preordering": [[1]]})

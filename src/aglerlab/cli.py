@@ -187,7 +187,7 @@ def cmd_eval(doc, args):
         raise FormatError("$.points", "expected an array of points, got one [re, im] pair")
     W = realize.eval_transfer(col, pts.reshape(len(pts), math.prod(pts.shape[1:])))
     return {"command": "eval", "values": serialize.array_to_json(W),
-            "norms": spectral_norm(W).tolist()}, EXIT_OK
+            "norms": spectral_norm(W)}, EXIT_OK
 
 
 def cmd_norm(doc, args):

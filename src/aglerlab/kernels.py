@@ -28,7 +28,7 @@ class PointSample:
         pts = np.asarray(self.points, dtype=complex)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2 or pts.size == 0:
             raise ValueError("points must be a nonempty N x d array")
         mod = np.abs(pts)
         if not mod.max() < 1.0:  # a NaN fails here too

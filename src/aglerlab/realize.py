@@ -555,14 +555,19 @@ class Colligation:
         C = np.atleast_2d(np.asarray(self.C, dtype=complex))
         D = np.atleast_2d(np.asarray(self.D, dtype=complex))
         part = tuple((tuple(int(v) for v in lam), int(mult)) for lam, mult in self.partition)
+        for lam, mult in part:
+            if not is_zero_one(lam) or weight(lam) == 0:
+                raise ValueError(f"partition entries need nonzero 0/1 multi-indices, got {lam}")
+            if len(lam) != len(part[0][0]):
+                raise ValueError(f"partition multi-indices differ in length: {part[0][0]} "
+                                 f"and {lam}")
+            if mult < 0:
+                raise ValueError(f"partition multiplicities must be >= 0, got {mult} for {lam}")
         E = sum(mult * 2 ** (weight(lam) - 1) for lam, mult in part)
         m = D.shape[0]
         if A.shape != (E, E) or B.shape != (E, m) or C.shape != (m, E) or D.shape != (m, m):
             raise ValueError(f"inconsistent block shapes for E={E}, m={m}: "
                              f"{A.shape}, {B.shape}, {C.shape}, {D.shape}")
-        for lam, _ in part:
-            if not is_zero_one(lam) or weight(lam) == 0:
-                raise ValueError(f"partition entries need nonzero 0/1 multi-indices, got {lam}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)

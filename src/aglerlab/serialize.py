@@ -2,7 +2,10 @@
 
 Complex numbers are always [re, im] pairs of 64-bit floats.  Emission is
 deterministic: insertion-ordered fields, floats printed with 17 significant
-digits, and files written atomically (temp + rename).
+digits, and files written atomically (temp + rename).  The *_to_json helpers
+build documents for `dumps` and `write_atomic`, with arrays left as float64
+ndarrays; json.loads(dumps(doc)) gives the plain JSON values that json.dumps
+and the json_to_* readers take.
 """
 from __future__ import annotations
 
@@ -42,7 +45,8 @@ def _format_float(x: float) -> str:
 
 
 def dumps(doc) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
+    """Deterministic JSON text with 17-significant-digit floats.  A float64
+    ndarray prints as nested arrays wherever it sits; no other ndarray does."""
     pieces: list[str] = []
     _emit(doc, pieces)
     return "".join(pieces)
@@ -69,40 +73,29 @@ def _emit(obj, out: list[str]) -> None:
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
-        text = _float_array_text(obj)
-        if text is not None:
-            out.append(text)
-            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
             _emit(v, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        out.append(_float_array_text(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _float_array_text(obj) -> str | None:
-    """A non-empty rectangular nest of finite Python floats in one `%` call.
-
-    '%.17g' % x equals format(x, '.17g') for every finite double, so the text
-    is what the per-element path would print; anything else (ragged lists,
-    ints, bools, strings, numpy scalars, NaN, inf) returns None and goes
-    through that path.  numpy reads a float ndarray inside the nest as nested
-    lists, so such a document prints here where that path would reject it.
-    """
-    try:
-        leaves = np.array(obj, dtype=object)
-    except ValueError:
-        return None
-    flat = leaves.ravel().tolist()
-    if set(map(type, flat)) != {float} or not np.isfinite(flat).all():
-        return None
+def _float_array_text(arr: np.ndarray) -> str:
+    """A float64 array in one `%` call: '%.17g' % x equals format(x, '.17g')
+    for every finite double, so the text is that of arr.tolist().  The first
+    non-finite element in ravel (document) order raises the per-element error."""
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        _format_float(float(bad[0]))
     template = "%.17g"
-    for n in reversed(leaves.shape):
+    for n in reversed(arr.shape):
         template = "[" + ",".join([template] * n) + "]"
-    return template % tuple(flat)
+    return template % tuple(arr.ravel().tolist())
 
 
 def write_atomic(path: str, doc) -> None:
@@ -123,10 +116,10 @@ def write_atomic(path: str, doc) -> None:
 # complex arrays
 
 
-def array_to_json(arr: np.ndarray):
-    """A complex array as nested lists ending in [re, im] pairs of Python floats."""
+def array_to_json(arr: np.ndarray) -> np.ndarray:
+    """A complex array as a float64 array whose last axis holds [re, im] pairs."""
     z = np.asarray(arr, dtype=complex)
-    return np.stack((z.real, z.imag), axis=-1).tolist()
+    return np.stack((z.real, z.imag), axis=-1)
 
 
 def json_to_array(doc, path: str = "$") -> np.ndarray:

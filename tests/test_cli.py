@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from aglerlab.cli import main
 from aglerlab.preorder import classical
 from aglerlab.realize import Colligation, FunctionSample, validate_witness
-from aglerlab.sampling import random_points, random_transfer_sample
+from aglerlab.sampling import (random_classical_colligation, random_points,
+                               random_transfer_sample, random_unitary)
 from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
                                 json_to_kernel, kernel_to_json, points_to_json)
 from aglerlab.kernels import HermitianKernel, PointSample, ones_kernel, szego_kernel
@@ -316,6 +317,43 @@ def test_aux_verify_mode(tmp_path):
     assert doc["residual"] < 1e-10
 
 
+def _partition(*entries):
+    return [{"lambda": list(lam), "mult": mult} for lam, mult in entries]
+
+
+def test_eval_refuses_partitions_of_mixed_length(tmp_path, capsys):
+    # unchecked, eval's broadcasting reads the (1,) entry as z1 z2 and prints values
+    col = random_classical_colligation(np.random.default_rng(41), 2, max_mult=1)
+    payload = {"colligation": {**colligation_to_json(col),
+                               "partition": _partition(((1, 0), 1), ((1,), 1))},
+               "points": [[[0.1, 0.0], [0.2, 0.0]]]}
+    assert run_cli(["eval"], tmp_path, payload) == (1, None)
+    assert capsys.readouterr().err == ("error: $.colligation: partition multi-indices "
+                                       "differ in length: (1, 0) and (1,)\n")
+
+
+@pytest.mark.parametrize("E, entries", [(1, (((1, 0), 2), ((0, 1), -1))),
+                                        (0, (((1, 1), 1), ((0, 1), -2)))])
+def test_eval_refuses_negative_multiplicities(E, entries, tmp_path, capsys):
+    # each signed sum matches E, so the block shapes alone let these through
+    U = random_unitary(np.random.default_rng(43), E + 1)
+    col = colligation_to_json(Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:],
+                                          (((1, 0), E),) if E else (), contractive=not E))
+    payload = {"colligation": {**col, "partition": _partition(*entries)},
+               "points": [[[0.1, 0.0], [0.2, 0.0]]]}
+    assert run_cli(["eval"], tmp_path, payload) == (1, None)
+    assert capsys.readouterr().err == ("error: $.colligation: partition multiplicities "
+                                       f"must be >= 0, got {entries[1][1]} for (0, 1)\n")
+
+
+@pytest.mark.parametrize("command", ["decompose", "aux"])
+def test_points_of_dimension_zero_refused(command, tmp_path, capsys):
+    payload = {"points": [[], []], "phi": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]],
+               "preordering": [[1]], "lambda": [1]}
+    assert run_cli([command], tmp_path, payload) == (1, None)
+    assert capsys.readouterr().err == "error: $.points: points must be a nonempty N x d array\n"
+
+
 def _decompose_payload():
     phi, _ = random_transfer_sample(np.random.default_rng(14), 3, 2)
     return {**function_sample_to_json(phi), "preordering": [[1, 1]]}
@@ -587,7 +625,7 @@ _REPLACEMENTS = ["x", True, None, {}, [], 0, -1, -3, 1.5, float("nan"), float("i
 @st.composite
 def _mutated_document(draw):
     command = draw(st.sampled_from(sorted(_VALID)))
-    root = {"": json.loads(json.dumps(_VALID[command]))}
+    root = {"": json.loads(dumps(_VALID[command]))}
     parent, key = root, ""
     while True:  # walk down to the field or entry to mutate
         node = parent[key]

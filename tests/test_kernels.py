@@ -39,6 +39,11 @@ class TestPointSample:
                                              "test functions separate points$"):
             PointSample(np.array([a, b, [0.3, -0.4], a], dtype=complex))
 
+    def test_empty_points_refused(self):
+        for shape in ((0, 2), (2, 0), (0,)):
+            with pytest.raises(ValueError, match="^points must be a nonempty N x d array$"):
+                PointSample(np.zeros(shape, dtype=complex))
+
     def test_margin(self):
         s = PointSample(np.array([[0.25 + 0j], [0.5 + 0j]]))
         assert s.margin == pytest.approx(0.5)

@@ -271,6 +271,11 @@ class TestTransferCompose:
             expected = eval_transfer(c1, [z])[0] @ eval_transfer(c2, [z])[0]
             assert np.abs(eval_transfer(prod, [z])[0] - expected).max() < 1e-12
 
+    def test_colligations_of_different_dimension_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"multi-indices differ in length: \(1, 0\) and \(1,\)"):
+            transfer_compose(self._coordinate(2, 0), self._coordinate(1, 0))
+
     def test_convex_endpoint(self):
         rng = RNG(16)
         c1 = random_classical_colligation(rng, 2)

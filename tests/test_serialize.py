@@ -39,8 +39,7 @@ class TestKernelRoundTrip:
     def test_szego(self):
         s = random_points(np.random.default_rng(0), 3, 2)
         K = szego_kernel(s, (1, 1))
-        doc = kernel_to_json(K)
-        back = json_to_kernel(doc)
+        back = json_to_kernel(json.loads(dumps(kernel_to_json(K))))
         assert np.array_equal(back.blocks, K.blocks)
         assert back.sample == K.sample
 
@@ -53,14 +52,14 @@ class TestKernelRoundTrip:
 
     def test_shape_mismatch_diagnosed(self):
         s = random_points(np.random.default_rng(2), 2, 1)
-        doc = kernel_to_json(szego_kernel(s, (1,)))
+        doc = json.loads(dumps(kernel_to_json(szego_kernel(s, (1,)))))
         doc["block_dim"] = 2
         with pytest.raises(FormatError, match=r"\.blocks"):
             json_to_kernel(doc)
 
     def test_non_hermitian_diagnosed(self):
         s = random_points(np.random.default_rng(3), 2, 1)
-        doc = kernel_to_json(szego_kernel(s, (1,)))
+        doc = json.loads(dumps(kernel_to_json(szego_kernel(s, (1,)))))
         doc["blocks"][0][1] = [[[99.0, 0.0]]]
         with pytest.raises(FormatError, match="Hermitian"):
             json_to_kernel(doc)
@@ -87,8 +86,7 @@ class TestColligation:
         from aglerlab.realize import eval_transfer
         rng = np.random.default_rng(4)
         phi, col = random_transfer_sample(rng, 3, 2)
-        doc = colligation_to_json(col)
-        back = json_to_colligation(doc)
+        back = json_to_colligation(json.loads(dumps(colligation_to_json(col))))
         z = random_points(rng, 1, 2).points[0]
         assert np.allclose(eval_transfer(back, [z])[0], eval_transfer(col, [z])[0])
 
@@ -273,6 +271,8 @@ def _reference_emit(obj, out: list[str]) -> None:
                 out.append(",")
             _reference_emit(v, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        _reference_emit(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -351,10 +351,44 @@ def test_non_finite_raises_the_reference_error(z, data):
     arrays(np.int64, shapes)))
 def test_array_to_json_matches_recursive_definition(arr):
     # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
-    assert repr(array_to_json(arr)) == repr(reference_array_to_json(arr))
+    out = array_to_json(arr)
+    assert out.dtype == np.float64
+    assert repr(out.tolist()) == repr(reference_array_to_json(arr))
 
 
 def test_array_to_json_zero_dim():
     for arr in (np.array(1 + 2j), np.array(-0.0), np.array(3), np.complex64(0.1 - 0.2j)):
-        assert repr(array_to_json(arr)) == repr(reference_array_to_json(arr))
-    assert array_to_json(np.array(3)) == [3.0, 0.0]
+        assert repr(array_to_json(arr).tolist()) == repr(reference_array_to_json(arr))
+    assert array_to_json(np.array(3)).tolist() == [3.0, 0.0]
+
+
+@EMIT
+@given(arrays(np.float64, shapes, elements=finite))
+def test_float_array_prints_as_its_list(arr):
+    assert dumps(arr) == reference_dumps(arr.tolist())
+    assert dumps({"a": arr}) == reference_dumps({"a": arr.tolist()})
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0, 2), (0, 0, 2), ()])
+def test_empty_and_zero_dim_arrays_print_as_their_list(shape):
+    arr = np.full(shape, 0.5)
+    assert dumps(arr) == reference_dumps(arr.tolist())
+    assert dumps([arr, {"a": arr}]) == reference_dumps([arr.tolist(), {"a": arr.tolist()}])
+
+
+@pytest.mark.parametrize("arr", [np.zeros(2, dtype=np.int64), np.zeros(2, dtype=complex),
+                                 np.array([0.5, None], dtype=object)])
+def test_other_arrays_are_refused_wherever_they_sit(arr):
+    for doc in (arr, {"a": arr}, [1.0, arr], {"a": [arr]}):
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            dumps(doc)
+
+
+@pytest.mark.parametrize("first, second", [(np.nan, np.inf), (-np.inf, np.nan)])
+def test_first_non_finite_in_document_order_is_named(first, second):
+    arr = np.zeros((2, 3, 2))
+    arr[0, 2, 1], arr[1, 0, 0] = first, second
+    view = arr.transpose(1, 0, 2)  # its document order is not its memory order
+    for doc in (arr, view):
+        assert outcome(dumps, doc) == outcome(reference_dumps, doc)
+    assert outcome(dumps, arr) != outcome(dumps, view)
