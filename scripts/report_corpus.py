@@ -35,7 +35,8 @@ script runs against any tree.  The corpus:
   and zero tolerances, a boolean in phi, a boolean, a fraction and a string
   in a preordering, a string contractive flag on a colligation, colligation
   partitions whose multi-indices differ in length or whose multiplicities
-  are negative, and points of dimension 0;
+  are negative, points of dimension 0, and a 1 x 2-valued phi through norm,
+  alone, with c and identically zero;
 - command lines that argparse refuses: the removed flags --feas-tol,
   --max-iter and --seed, an unknown command and an unknown flag;
 - an --input that does not exist and one that is a directory, and an --output
@@ -370,6 +371,14 @@ def malformed_inputs(corpus: Corpus) -> None:
         corpus.doc(f"bad-{command}-points-d0", [command],
                    {"points": [[], []], "phi": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]],
                     "preordering": [[1]], "lambda": [1]})
+    phi, _ = random_transfer_sample(np.random.default_rng([41, 2]), 3, 2, 2)
+    wide = FunctionSample(phi.sample, 0.5 * phi.values[:, :1, :])
+    wide_doc = {**function_sample_to_json(wide), "preordering": preordering_to_json(classical(2))}
+    corpus.doc("bad-norm-non-square", ["norm"], wide_doc)
+    corpus.doc("bad-norm-non-square-c", ["norm"], {**wide_doc, "c": 1.0})
+    corpus.doc("bad-norm-non-square-zero", ["norm"],
+               {**wide_doc, **function_sample_to_json(FunctionSample(phi.sample,
+                                                                     0 * wide.values))})
     corpus.doc("bad-pick-node-count", ["pick"],
                {"points": [[[0.0, 0.0]], [[0.5, 0.0]]], "a": one, "b": one,
                 "preordering": [[1]]})

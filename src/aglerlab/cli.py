@@ -12,6 +12,7 @@ before numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -31,7 +32,9 @@ STATUS_EXIT = {"feasible": EXIT_OK, "infeasible": EXIT_INFEASIBLE,
                "unresolved": EXIT_UNRESOLVED}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="input JSON file (default: stdin)")
     common.add_argument("--output", help="output JSON file (default: stdout)")

@@ -249,6 +249,8 @@ class _Workspace:
         self._rows_j = np.concatenate([np.arange(n), ju])
         self._DD = (self.D[:, self._rows_i, self._rows_j][:, :, None, None]
                     * self.Dc[:, None])
+        j = self.to_real(self.J)
+        self._jj = np.outer(j, j)
 
     def apply(self, G: np.ndarray) -> np.ndarray:
         return (self.D * G).sum(axis=0)
@@ -279,22 +281,34 @@ class _Workspace:
         The map is complex-linear on vec(dW) with M[(j,i),(l,k)] = conj M[(i,j),(k,l)],
         so the rows i <= j, gathered entrywise, determine it.
         """
-        n, nd = self.n, len(self._d)
+        n, nd, k = self.n, len(self._d), len(self._u)
+        ri, rj = self._rows_i, self._rows_j
+        Xt, Zt = np.swapaxes(X, 1, 2), np.swapaxes(Zi, 1, 2)
+        T = X[:, ri][..., None] * Zt[:, rj][:, :, None]
+        T += Zi[:, ri][..., None] * Xt[:, rj][:, :, None]
+        np.multiply(self._DD, T, out=T)
         Mh = 0
-        for DD, Xl, Zl in zip(self._DD, X, Zi):
-            T = Xl[self._rows_i][:, :, None] * Zl.T[self._rows_j][:, None, :]
-            T += Zl[self._rows_i][:, :, None] * Xl.T[self._rows_j][:, None, :]
-            Mh = Mh + DD * T
+        for Tl in T:  # lambda by lambda: the order of the adds fixes the last bits
+            Mh = Mh + Tl
         Mh = Mh.reshape(-1, n * n) / 2
         Md, Mu = Mh[:nd], Mh[nd:]
         d, u, l = self._d, self._u, self._l
-        Mul, Mup = Mu[:, l], Mu[:, u]
-        rows = [(Md[:, d].real, 2 * Md[:, u].real, -2 * Md[:, u].imag),
-                (2 * Mu[:, d].real, 2 * (Mup + Mul).real, 2 * (Mul - Mup).imag),
-                (2 * Mu[:, d].imag, 2 * (Mup + Mul).imag, 2 * (Mup - Mul).real)]
-        M = np.concatenate([np.concatenate(r, axis=1) for r in rows])
-        j = self.to_real(self.J)
-        return M + lp * np.outer(j, j)
+        Mdu, Mud, Mul, Mup = Md[:, u], Mu[:, d], Mu[:, l], Mu[:, u]
+        # Mup - Mul is -minus but for the sign of a zero, which M += lp * jj clears
+        plus, minus = Mup + Mul, Mul - Mup
+        M = np.empty((n * n, n * n))
+        top, mid, bot = slice(0, n), slice(n, n + k), slice(n + k, None)
+        M[top, top] = Md[:, d].real
+        np.multiply(2, Mdu.real, out=M[top, mid])
+        np.multiply(-2, Mdu.imag, out=M[top, bot])
+        np.multiply(2, Mud.real, out=M[mid, top])
+        np.multiply(2, plus.real, out=M[mid, mid])
+        np.multiply(2, minus.imag, out=M[mid, bot])
+        np.multiply(2, Mud.imag, out=M[bot, top])
+        np.multiply(2, plus.imag, out=M[bot, mid])
+        np.multiply(-2, minus.real, out=M[bot, bot])
+        M += lp * self._jj
+        return M
 
     def upper(self, X: np.ndarray, s: float) -> tuple:
         """s* <= s + sum t_lam: X repaired onto the affine set at s, then each
@@ -331,14 +345,19 @@ class _Workspace:
         return HermitianKernel.from_assembled(self.sample, lower[1].conj())
 
 
-def _max_steps(primal: tuple, dual: tuple) -> tuple[float, float]:
-    """Largest a with X + a dX >= 0 and x + a dx >= 0, for primal = (X, dX, x, dx)
-    and dual = (Z, dZ, z, dz), in one batch."""
-    Li = np.linalg.inv(np.linalg.cholesky(np.concatenate([primal[0], dual[0]])))
-    dS = np.concatenate([primal[1], dual[1]])
+def _max_steps(Li: np.ndarray, primal: tuple, dual: tuple) -> tuple[float, float]:
+    """Largest a with X + a dX >= 0 and x + a dx >= 0, for primal = (dX, x, dx)
+    and dual = (dZ, z, dz), in one batch.
+
+    Li stacks the inverse Cholesky factors of X and then of Z, so the least
+    eigenvalue of Li dS Li^* is that of dS relative to S = L L^*; the Newton
+    step factors once and passes the same Li to its predictor and corrector.
+    """
+    L = len(primal[0])
+    dS = np.concatenate([primal[0], dual[0]])
     lo = np.linalg.eigvalsh(hermitize(Li @ dS @ _adjoint(Li)))[:, 0]
     out = []
-    for w, (_, _, x, dx) in zip(np.split(lo, 2), (primal, dual)):
+    for w, (_, x, dx) in ((lo[:L], primal), (lo[L:], dual)):
         a = np.inf if w.min() >= 0 else -1.0 / w.min()
         out.append(a if dx >= 0 else min(a, -x / dx))
     return out[0], out[1]
@@ -349,17 +368,25 @@ def _newton_step(ws: _Workspace, X, t, W, Z, z, rp):
     returned with its primal and dual step lengths ap and ad.
 
     t = s - s_floor >= 0 and z = 1 - <J, W> >= 0 make the free s a conic
-    variable; Z_lam is the slack of conj(D_lam) o W.
+    variable; Z_lam is the slack of conj(D_lam) o W.  The step factors the
+    iterates once: one batched Cholesky of [X; Z] and one batched inverse of
+    [chol(X); chol(Z); Z] give the triangular inverses that both step-length
+    searches use and Z^-1; the Schur matrix M and herm(X Rd Z^-1) are formed
+    once and shared by the predictor and the corrector, which differ only in
+    their right-hand sides.
     """
-    k = Z.shape[0] * ws.n + 1
+    L = Z.shape[0]
+    k = L * ws.n + 1
     Rd = ws.Dc * W - Z
     rz = 1 - _inner(ws.J, W) - z
     mu = (_inner(X, Z) + t * z) / k
-    Zi = hermitize(np.linalg.inv(Z))
+    inv = np.linalg.inv(np.concatenate([np.linalg.cholesky(np.concatenate([X, Z])), Z]))
+    Li, Zi = inv[:2 * L], hermitize(inv[2 * L:])
+    XRZ = hermitize(X @ Rd @ Zi)
     M = ws.schur(X, Zi, t / z)
 
     def direction(sigma_mu, corr_X, corr_t):
-        C = sigma_mu * Zi - X - hermitize(X @ Rd @ Zi) - corr_X
+        C = sigma_mu * Zi - X - XRZ - corr_X
         ct = (sigma_mu - corr_t) / z - t
         h = ws.apply(C) - (ct - t / z * rz) * ws.J - rp
         dW = ws.from_real(np.linalg.solve(M, ws.to_real(h)))
@@ -369,11 +396,11 @@ def _newton_step(ws: _Workspace, X, t, W, Z, z, rp):
         return dX, ct - t / z * dz, dW, dZ, dz
 
     dX, dt, dW, dZ, dz = direction(0.0, 0.0, 0.0)
-    ap, ad = (min(1.0, a) for a in _max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
+    ap, ad = (min(1.0, a) for a in _max_steps(Li, (dX, t, dt), (dZ, z, dz)))
     mu_aff = (_inner(X + ap * dX, Z + ad * dZ) + (t + ap * dt) * (z + ad * dz)) / k
     sigma = min(max(mu_aff / mu, 0.0), 1.0) ** 3
     dX, dt, dW, dZ, dz = direction(sigma * mu, hermitize(dX @ dZ @ Zi), dt * dz)
-    ap, ad = (min(1.0, _STEP_DAMPING * a) for a in _max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
+    ap, ad = (min(1.0, _STEP_DAMPING * a) for a in _max_steps(Li, (dX, t, dt), (dZ, z, dz)))
     return X + ap * dX, t + ap * dt, W + ad * dW, Z + ad * dZ, z + ad * dz, ap, ad
 
 
@@ -518,6 +545,11 @@ def decide_target(sample: PointSample, preordering: Preordering, R_blocks: np.nd
     return _solve_target(sample, preordering, R_blocks, c, params)
 
 
+def _require_square(phi: FunctionSample) -> None:
+    if phi.m_out != phi.m_in:
+        raise ValueError("decomposition targets square matrix values")
+
+
 def agler_decompose(phi: FunctionSample, preordering: Preordering, c: float = 1.0,
                     params: SolverParams | None = None) -> DecomposeResult:
     """Find PSD kernels with sum Gamma_lam * defect_lam = c^2 - phi phi^*.
@@ -525,8 +557,7 @@ def agler_decompose(phi: FunctionSample, preordering: Preordering, c: float = 1.
     Returns a three-way status; infeasibility always carries a re-verified
     separating kernel, and unresolved is never silently relabeled.
     """
-    if phi.m_out != phi.m_in:
-        raise ValueError("decomposition targets square matrix values")
+    _require_square(phi)
     return decide_target(phi.sample, preordering, target_blocks(phi, c), c, params)
 
 
@@ -809,8 +840,10 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
     `resolved` means c_hi - c_lo <= tol.  The solve stops at the first iterate
     whose validated ends are resolved, so the bracket is the first one within
     tol, not the tightest the solver could reach: a tighter bracket needs a
-    smaller tol, and tol = 0 runs the solve to convergence.
+    smaller tol, and tol = 0 runs the solve to convergence.  phi must take
+    square values, as in agler_decompose; otherwise ValueError, before any solve.
     """
+    _require_square(phi)
     params = params or SolverParams()
     sup = phi.sup_norm()
     if sup == 0.0:

@@ -122,6 +122,29 @@ class TestNormCommand:
         assert validate_witness(phi, classical(2), doc["c_lo"], witness, 1e-8) is not None
 
 
+def _wide_norm_documents() -> dict:
+    """A 1 x 2-valued phi on classical(2): alone, with c, and identically zero."""
+    phi, _ = random_transfer_sample(np.random.default_rng([41, 2]), 3, 2, 2)
+    wide = FunctionSample(phi.sample, 0.5 * phi.values[:, :1, :])
+    doc = {**function_sample_to_json(wide), "preordering": [[1, 0], [0, 1]]}
+    zero = function_sample_to_json(FunctionSample(phi.sample, 0 * wide.values))
+    return {"bracket": doc, "at-c": {**doc, "c": 1.0}, "zero": {**doc, **zero}}
+
+
+@pytest.mark.parametrize("name", ["bracket", "at-c", "zero"])
+def test_norm_refuses_non_square_values(name, tmp_path, capsys, monkeypatch):
+    # the rule of decompose, applied before any solve: the bracket alone used
+    # to exit 0, and with c it was solved in full before the refusal
+    from aglerlab import realize
+
+    def no_solve(*args):
+        raise AssertionError("solved a non-square phi")
+
+    monkeypatch.setattr(realize, "_interior_point", no_solve)
+    assert run_cli(["norm"], tmp_path, _wide_norm_documents()[name]) == (1, None)
+    assert capsys.readouterr() == ("", "error: decomposition targets square matrix values\n")
+
+
 def test_decompose_report_echoes_every_solver_field(tmp_path):
     rng = np.random.default_rng(6)
     payload = {**coordinate_fixture(rng), "solver": {"force_iterative": True}}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aglerlab import realize
+from aglerlab._linalg import hermitize
 from aglerlab.preorder import classical, standard_ample, standard_nearly_ample
 from aglerlab.realize import (FunctionSample, SolverParams, agler_decompose,
                               schur_agler_norm, validate_certificate, validate_witness)
@@ -175,3 +176,134 @@ def test_decision_validates_each_witness_once(monkeypatch):
     out = agler_decompose(phi, classical(2), 0.3, SolverParams(max_iter=5))
     assert out.status == "unresolved" and latest[1] > 0
     assert len(tried) == 6 and len(set(tried)) == len(tried)
+
+
+# Reference Newton step, which realize._newton_step must match bit for bit:
+# each step-length search factors X and Z itself, the predictor and the
+# corrector each form herm(X Rd Z^-1), and the Schur matrix is assembled
+# lambda by lambda and concatenated from its blocks.
+
+
+def ref_schur(ws, X, Zi, lp):
+    n, nd = ws.n, len(ws._d)
+    Mh = 0
+    for DD, Xl, Zl in zip(ws._DD, X, Zi):
+        T = Xl[ws._rows_i][:, :, None] * Zl.T[ws._rows_j][:, None, :]
+        T += Zl[ws._rows_i][:, :, None] * Xl.T[ws._rows_j][:, None, :]
+        Mh = Mh + DD * T
+    Mh = Mh.reshape(-1, n * n) / 2
+    Md, Mu = Mh[:nd], Mh[nd:]
+    d, u, l = ws._d, ws._u, ws._l
+    Mul, Mup = Mu[:, l], Mu[:, u]
+    rows = [(Md[:, d].real, 2 * Md[:, u].real, -2 * Md[:, u].imag),
+            (2 * Mu[:, d].real, 2 * (Mup + Mul).real, 2 * (Mul - Mup).imag),
+            (2 * Mu[:, d].imag, 2 * (Mup + Mul).imag, 2 * (Mup - Mul).real)]
+    M = np.concatenate([np.concatenate(r, axis=1) for r in rows])
+    j = ws.to_real(ws.J)
+    return M + lp * np.outer(j, j)
+
+
+def ref_max_steps(primal, dual):
+    Li = np.linalg.inv(np.linalg.cholesky(np.concatenate([primal[0], dual[0]])))
+    dS = np.concatenate([primal[1], dual[1]])
+    lo = np.linalg.eigvalsh(hermitize(Li @ dS @ realize._adjoint(Li)))[:, 0]
+    out = []
+    for w, (_, _, x, dx) in zip(np.split(lo, 2), (primal, dual)):
+        a = np.inf if w.min() >= 0 else -1.0 / w.min()
+        out.append(a if dx >= 0 else min(a, -x / dx))
+    return out[0], out[1]
+
+
+def ref_newton_step(ws, X, t, W, Z, z, rp):
+    inner = realize._inner
+    k = Z.shape[0] * ws.n + 1
+    Rd = ws.Dc * W - Z
+    rz = 1 - inner(ws.J, W) - z
+    mu = (inner(X, Z) + t * z) / k
+    Zi = hermitize(np.linalg.inv(Z))
+    M = ref_schur(ws, X, Zi, t / z)
+
+    def direction(sigma_mu, corr_X, corr_t):
+        C = sigma_mu * Zi - X - hermitize(X @ Rd @ Zi) - corr_X
+        ct = (sigma_mu - corr_t) / z - t
+        h = ws.apply(C) - (ct - t / z * rz) * ws.J - rp
+        dW = ws.from_real(np.linalg.solve(M, ws.to_real(h)))
+        dX = C - hermitize(X @ (ws.Dc * dW) @ Zi)
+        dZ = ws.Dc * dW + Rd
+        dz = rz - inner(ws.J, dW)
+        return dX, ct - t / z * dz, dW, dZ, dz
+
+    dX, dt, dW, dZ, dz = direction(0.0, 0.0, 0.0)
+    ap, ad = (min(1.0, a) for a in ref_max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
+    mu_aff = (inner(X + ap * dX, Z + ad * dZ) + (t + ap * dt) * (z + ad * dz)) / k
+    sigma = min(max(mu_aff / mu, 0.0), 1.0) ** 3
+    dX, dt, dW, dZ, dz = direction(sigma * mu, hermitize(dX @ dZ @ Zi), dt * dz)
+    ap, ad = (min(1.0, realize._STEP_DAMPING * a)
+              for a in ref_max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
+    return X + ap * dX, t + ap * dt, W + ad * dW, Z + ad * dZ, z + ad * dz, ap, ad
+
+
+def _solve_states(solve):
+    """The arguments (ws, X, t, W, Z, z, rp) of every Newton step that solve() takes."""
+    states, step = [], realize._newton_step
+
+    def recorded(*args):
+        states.append(args)
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_newton_step", recorded)
+        solve()
+    return states
+
+
+def _target_workspace(phi, pre, c):
+    return realize._Workspace(phi.sample, realize._decomposition_lambdas(pre),
+                              realize.target_blocks(phi, c), FEAS_TOL)
+
+
+NORM_PARAMS = SolverParams(max_iter=3000, stall_rtol=1e-9)
+PINNED_SOLVES = {
+    "classical(2) N=4": lambda: schur_agler_norm(
+        random_transfer_sample(np.random.default_rng([1, 0]), 4, 2)[0], classical(2), 1e-4,
+        NORM_PARAMS),
+    "classical(2) N=8": lambda: schur_agler_norm(
+        random_transfer_sample(np.random.default_rng([1, 1]), 8, 2)[0], classical(2), 1e-4,
+        NORM_PARAMS),
+    "classical(2) N=4 m=2": lambda: schur_agler_norm(
+        random_transfer_sample(np.random.default_rng([1, 5]), 4, 2, 2)[0], classical(2), 1e-4,
+        NORM_PARAMS),
+    "standard_nearly_ample(3,0,1) N=4": lambda: schur_agler_norm(
+        random_transfer_sample(np.random.default_rng([1, 2]), 4, 3)[0],
+        standard_nearly_ample(3, 0, 1), 1e-4, NORM_PARAMS),
+    "classical(3) N=4, L=3": lambda: schur_agler_norm(
+        random_transfer_sample(np.random.default_rng([1, 3]), 4, 3)[0], classical(3), 1e-4,
+        NORM_PARAMS),
+    # the decompose target R = c^2 J - phi phi^* that force_iterative sends to
+    # the solver, on the single lambda of an ample preordering (L = 1), solved
+    # to the end: the decision would stop it after a step or two
+    "decompose target c=0.9, standard_ample(2)": lambda: _drain(
+        _target_workspace(random_transfer_sample(np.random.default_rng([1, 4]), 4, 2)[0],
+                          standard_ample(2), 0.9), SolverParams(force_iterative=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+def test_newton_step_matches_the_reference_bit_for_bit(name):
+    states = _solve_states(PINNED_SOLVES[name])
+    assert len(states) >= 5
+    for ws, X, t, W, Z, z, rp in states:
+        Zi = hermitize(np.linalg.inv(Z))
+        assert np.array_equal(ws.schur(X, Zi, t / z), ref_schur(ws, X, Zi, t / z))
+        got = realize._newton_step(ws, X, t, W, Z, z, rp)
+        ref = ref_newton_step(ws, X, t, W, Z, z, rp)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        # the step-length search on the step taken, forwards and backwards,
+        # which puts both signs on each least eigenvalue and on dt and dz
+        Li = np.linalg.inv(np.linalg.cholesky(np.concatenate([X, Z])))
+        X1, t1, _, Z1, z1 = got[:5]
+        for sign in (1.0, -1.0):
+            dX, dt, dZ, dz = sign * (X1 - X), sign * (t1 - t), sign * (Z1 - Z), sign * (z1 - z)
+            assert np.array_equal(realize._max_steps(Li, (dX, t, dt), (dZ, z, dz)),
+                                  ref_max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
