@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_TOL, block_diag, hermitian_sqrt, min_eig,
-                      orthonormal_range, spectral_norm)
+from ._linalg import block_diag, hermitian_sqrt, min_eig, orthonormal_range, spectral_norm
 from .kernels import (HermitianKernel, PointSample, defect_factor, sample_multi_index,
                       szego_factor)
 from .preorder import MultiIndex, Preordering, classify, parity_split
@@ -136,8 +135,7 @@ class FiniteStageExtension:
 
 
 def extend_aux_finite(sample: PointSample, lam: MultiIndex,
-                      preordering: Preordering,
-                      tol: float = DEFAULT_TOL) -> FiniteStageExtension:
+                      preordering: Preordering) -> FiniteStageExtension:
     """Finite-stage contractive extension of sigma_lam for an ample preordering.
 
     Builds the Hermitian square root kappa of the Szego model on the sample,
@@ -156,14 +154,14 @@ def extend_aux_finite(sample: PointSample, lam: MultiIndex,
 
     ks = szego_factor(sample, lam_m)
     kF = np.kron(ks, np.eye(n))
-    kappa, kappa_inv = hermitian_sqrt(kF, tol)
+    kappa, kappa_inv = hermitian_sqrt(kF)
 
     Psip = block_diag(rows.plus[:, None, :])
     gram = Psip @ Psip.conj().T
     P_plus = Psip.conj().T @ np.linalg.solve(gram, Psip)
 
     Q = kappa_inv @ P_plus @ kappa
-    basis = orthonormal_range(Q.conj().T, tol)
+    basis = orthonormal_range(Q.conj().T)
     P_ranQs = basis @ basis.conj().T
 
     sigF = block_diag(raw_sigmas(sample.points, rows.lam))

@@ -221,8 +221,7 @@ def is_admissible(K: HermitianKernel, preordering: Preordering,
                                float(min(list(eigs.values()) + [base_eig])), worst_vec)
 
 
-def is_subordinate(K: HermitianKernel, Kref: HermitianKernel,
-                   tol: float = DEFAULT_TOL) -> bool:
+def is_subordinate(K: HermitianKernel, Kref: HermitianKernel) -> bool:
     """K = Kref * F with F positive?  Entrywise division, scalar Kref only."""
     if K.sample != Kref.sample:
         raise ValueError("kernels live on different samples")
@@ -230,7 +229,7 @@ def is_subordinate(K: HermitianKernel, Kref: HermitianKernel,
     if np.abs(ref).min() == 0.0:
         raise ValueError("reference kernel has a zero entry; division undefined")
     F = HermitianKernel(K.sample, K.blocks / ref[:, :, None, None])
-    ok, _ = psd_check(F, tol)
+    ok, _ = psd_check(F)
     return ok
 
 

@@ -52,11 +52,11 @@ class CommutingTuple:
     def norms(self) -> list[float]:
         return spectral_norm(np.array(self.matrices)).tolist()
 
-    def is_contractive(self, slack: float = 1e-12) -> bool:
-        return all(n <= 1 + slack for n in self.norms())
+    def is_contractive(self) -> bool:
+        return all(n <= 1 + 1e-12 for n in self.norms())
 
-    def is_strict(self, margin: float = 0.0) -> bool:
-        return all(n < 1 - margin for n in self.norms())
+    def is_strict(self) -> bool:
+        return all(n < 1 for n in self.norms())
 
     def scaled(self, r: float) -> "CommutingTuple":
         return CommutingTuple([r * M for M in self.matrices])
@@ -306,7 +306,7 @@ def dilation_check(big: CommutingTuple, small: CommutingTuple,
     return worst
 
 
-def commutant_dimension(T: CommutingTuple, tol: float = 1e-10) -> int:
+def commutant_dimension(T: CommutingTuple) -> int:
     """dim { X : X T_j = T_j X and X T_j^* = T_j^* X for all j }.
 
     Computed as the nullity of the stacked Sylvester system; dimension one
@@ -322,4 +322,4 @@ def commutant_dimension(T: CommutingTuple, tol: float = 1e-10) -> int:
     big = np.vstack(rows)
     s = np.linalg.svd(big, compute_uv=False)
     smax = s.max(initial=0.0)
-    return int((s <= tol * max(smax, 1.0)).sum())
+    return int((s <= 1e-10 * max(smax, 1.0)).sum())

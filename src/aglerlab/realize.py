@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import (DEFAULT_TOL, block_diag, hermitian_sqrt, hermitize, polar_isometry,
                       psd_clip, spectral_norm)
-from .auxfun import monomial_rows, psi_rows, raw_sigmas, row_sqnorms
+from .auxfun import monomial_rows, psi_rows, row_sqnorms
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                       kolmogorov, psd_check, szego_factor)
 from .preorder import (MultiIndex, Preordering, classify, is_zero_one,
@@ -287,10 +287,7 @@ class _Workspace:
         T = X[:, ri][..., None] * Zt[:, rj][:, :, None]
         T += Zi[:, ri][..., None] * Xt[:, rj][:, :, None]
         np.multiply(self._DD, T, out=T)
-        Mh = 0
-        for Tl in T:  # lambda by lambda: the order of the adds fixes the last bits
-            Mh = Mh + Tl
-        Mh = Mh.reshape(-1, n * n) / 2
+        Mh = T.sum(axis=0).reshape(-1, n * n) / 2
         Md, Mu = Mh[:nd], Mh[nd:]
         d, u, l = self._d, self._u, self._l
         Mdu, Mud, Mul, Mup = Md[:, u], Mu[:, d], Mu[:, l], Mu[:, u]
@@ -637,7 +634,7 @@ class Colligation:
 
 
 # entries of 1 - V^T A U held at once (2 MB): a few points' systems at a time keep
-# the working set near the dense solve's E x E matrices, not N r^2
+# the working set near one point's E x E matrices, not N r^2
 _RANGE_SOLVE_ENTRIES = 1 << 17
 
 
@@ -648,15 +645,14 @@ def eval_transfer(col: Colligation, points) -> np.ndarray:
 
     Each sigma_lam(x) = u v^T has rank one, with u = psi^+(x)^* / |psi^+(x)|^2
     and v = psi^-(x), so S(x) = U(x) V(x)^T has rank r, the sum of the
-    multiplicities.  When some populated slot has dimension n >= 2, r < E and
-    the solve moves into the range of S by push-through:
+    multiplicities (r = E when every populated slot is 1 x 1, r < E otherwise),
+    and the solve runs in the range of S by push-through:
     W(x) = D + (C U)(1 - V^T A U)^{-1}(V^T B).  C U and V^T B take one product
     per partition entry over all points, V^T A U one product per pair of
-    entries over a block of points, and only the r x r solve runs per point.
-    When r = E every populated slot is 1 x 1 (every classical colligation)
-    and the E x E system above is solved point by point, bit for bit as
-    before."""
+    entries over a block of points, and only the r x r solve runs per point."""
     pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be an (N, d) array, got shape {pts.shape}")
     N = pts.shape[0]
     if N and col.partition and pts.shape[1] != col.d:
         raise ValueError(f"point dimension {pts.shape[1]} != colligation dimension {col.d}")
@@ -667,12 +663,6 @@ def eval_transfer(col: Colligation, points) -> np.ndarray:
     if E == 0 or N == 0:
         return W
     r = sum(mult for _, mult in col.partition)
-    if r == E:
-        sigmas = [raw_sigmas(pts, lam) for lam, _ in col.partition]
-        for x in range(N):
-            S = col.state_operator([sig[x] for sig in sigmas])
-            W[x] = col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
-        return W
     m = col.output_dim
     slots, row, k = [], 0, 0
     for lam, mult in col.partition:  # copies fill state rows row.. and range columns k..

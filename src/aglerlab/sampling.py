@@ -5,7 +5,7 @@ import numpy as np
 
 from .kernels import HermitianKernel, PointSample
 from .preorder import unit
-from .realize import Colligation, FunctionSample, eval_transfer
+from .realize import Colligation, FunctionSample
 
 
 def random_points(rng: np.random.Generator, n: int, d: int,
@@ -44,4 +44,13 @@ def random_transfer_sample(rng: np.random.Generator, n_points: int, d: int,
     """Values of a random unitary-colligation transfer function on a sample."""
     col = random_classical_colligation(rng, d, m)
     sample = random_points(rng, n_points, d)
-    return FunctionSample(sample, eval_transfer(col, sample.points)), col
+    # the classical formula, one E x E solve per point with S(x) = diag(x_j
+    # repeated mult_j times), not eval_transfer: these values are the instances'
+    # bits, and norm brackets on them hang on the last bit of phi
+    E = col.state_dim
+    values = np.empty((n_points, m, m), dtype=complex)
+    diags = np.repeat(sample.points, [mult for _, mult in col.partition], axis=1)
+    for x, diag in enumerate(diags):
+        S = np.diag(diag)
+        values[x] = col.D + col.C @ S @ np.linalg.solve(np.eye(E) - col.A @ S, col.B)
+    return FunctionSample(sample, values), col

@@ -232,6 +232,12 @@ class TestEvalTransfer:
         with pytest.raises(ValueError):
             eval_transfer(col, [[1.0]])
 
+    @pytest.mark.parametrize("points", [[0.3, 0.2], 0.3, [[[0.3, 0.2]]]])
+    def test_points_that_are_not_a_matrix_rejected(self, points):
+        col = random_classical_colligation(RNG(5), 2)
+        with pytest.raises(ValueError, match=r"points must be an \(N, d\) array, got shape"):
+            eval_transfer(col, points)
+
     def test_nonunitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             Colligation([[0.5]], [[0.0]], [[0.0]], [[0.5]], ((unit(1, 0), 1),))
@@ -409,8 +415,8 @@ class TestNearlyAmpleDirection:
 # ---------------------------------------------------------------------------
 # reference implementations: the per-point transfer evaluator and the
 # per-node lurking-isometry columns that the sample-wide code replaced; the
-# sample-wide code must reproduce them bit for bit, except where the transfer
-# evaluator solves in the range of S(x) (see _assert_matches_reference)
+# lurking isometry must reproduce them bit for bit, the transfer evaluator,
+# which solves in the range of S(x), to rounding (see _assert_matches_reference)
 
 
 def ref_monomial_rows_at(point, lam):
@@ -539,8 +545,7 @@ def test_eval_transfer_matches_per_point_reference(pre, m, mults, n_points, rmax
 
 
 def _assert_matches_reference(col, pts):
-    """Bit for bit when every populated slot is 1 x 1 (rank S = E); otherwise the
-    rank-r solve differs from the E x E one by at most 64 eps cond(1 - A S(x))."""
+    """The rank-r solve differs from the E x E one by at most 64 eps cond(1 - A S(x))."""
     m = col.output_dim
     kind, got = _outcome(lambda: eval_transfer(col, pts))
     ref_kind, ref = _outcome(lambda: np.array(
@@ -550,15 +555,23 @@ def _assert_matches_reference(col, pts):
         assert got == ref
         return
     assert got.shape == (len(pts), m, m)
-    if sum(mult for _, mult in col.partition) == col.state_dim:
-        assert np.array_equal(got, ref)
-        return
     eps = np.finfo(float).eps
     for x, p in enumerate(pts):
         err = np.abs(got[x] - ref[x]).max()
         if err > 64 * eps:  # cond >= 1, so only then can the bound depend on it
             cond = np.linalg.cond(np.eye(col.state_dim) - col.A @ ref_state_blocks(col, p))
             assert err <= 64 * eps * cond
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n_points", [1, 8, 64])
+def test_random_transfer_sample_is_the_per_point_reference(d, m, n_points):
+    # the samples' values are the instances of tests and benchmarks: they keep
+    # the classical formula's bits, whatever eval_transfer does
+    phi, col = random_transfer_sample(RNG([d, m, n_points]), n_points, d, m)
+    ref = np.array([ref_eval_transfer(col, p) for p in phi.sample.points])
+    assert np.array_equal(phi.values, ref)
 
 
 def test_eval_transfer_matches_reference_on_an_ample_realization():
