@@ -24,13 +24,14 @@ script runs against any tree.  The corpus:
   on three of its ops whose solves end short of tol and on five whose first
   certificate within tol fails at the solver's own bound;
 - decompose, realize, norm and pick with $.solver setting feas_tol and
-  max_iter, and one decompose document read from stdin and reported to stdout;
+  max_iter, max_iter also at 10^400, and one decompose document read from
+  stdin and reported to stdout;
 - constant colligations (state space E = 0) through eval and vn, and
   check-kernel on an indefinite kernel;
 - malformed documents: missing points or phi, mistyped c or tol, preorderings
   of the wrong dimension, solver fields out of range, the solver fields seed,
-  stall_window and stall_rtol, which are unknown, NaN, Infinity and 1e999
-  where a number goes, a point written
+  stall_window and stall_rtol, which are unknown, NaN, Infinity, 1e999 and
+  integers of 401 digits where a number goes, a point written
   without its list, Pick data sized for the wrong node count, negative
   and zero tolerances, a boolean in phi, a boolean, a fraction and a string
   in a preordering, a string contractive flag on a colligation, colligation
@@ -334,6 +335,22 @@ def malformed_inputs(corpus: Corpus) -> None:
                replace=(dumps(ample_doc["phi"][1][0][0][0]), "1e999"))
     corpus.doc("bad-decompose-point-nan", ["decompose"], ample_doc,
                replace=(dumps(ample_doc["points"][1][0][0]), "NaN"))
+    # an integer that no float holds is refused where 1e999 is; max_iter takes it
+    huge = "1" + "0" * 400
+    for name, sign in (("huge-int", ""), ("minus-huge-int", "-")):
+        corpus.doc(f"bad-norm-tol-{name}", ["norm"], {**ample_doc, "tol": 12345.5},
+                   replace=("12345.5", sign + huge))
+        corpus.doc(f"bad-decompose-c-{name}", ["decompose"], {**ample_doc, "c": 12345.5},
+                   replace=("12345.5", sign + huge))
+        corpus.doc(f"bad-decompose-phi-{name}", ["decompose"], ample_doc,
+                   replace=(dumps(ample_doc["phi"][1][0][0][1]), sign + huge))
+        corpus.doc(f"bad-decompose-point-{name}", ["decompose"], ample_doc,
+                   replace=(dumps(ample_doc["points"][0][1][0]), sign + huge))
+        corpus.doc(f"bad-decompose-feas-tol-{name}", ["decompose"],
+                   {**ample_doc, "solver": {"feas_tol": 12345.5}},
+                   replace=("12345.5", sign + huge))
+    corpus.doc("decompose-max-iter-huge-int", ["decompose"],
+               {**classical_doc, "solver": {"max_iter": 12345}}, replace=("12345", huge))
     phi, _ = random_transfer_sample(np.random.default_rng([1, 1]), 4, 2)
     corpus.doc("decompose-stall-fields", ["decompose"],
                {**function_sample_to_json(phi), "preordering": preordering_to_json(classical(2)),

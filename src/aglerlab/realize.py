@@ -472,8 +472,16 @@ def _szego_gamma(sample: PointSample, R_blocks: np.ndarray, lam: MultiIndex) -> 
     return hermitize(HermitianKernel(sample, R_blocks * ks[:, :, None, None]).assembled())
 
 
-def _szego_top(phi: FunctionSample, lam: MultiIndex,
-               shift: float | np.ndarray = 0.0) -> tuple[float, np.ndarray]:
+def _szego_pencil(phi: FunctionSample, lam: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The pencil of _szego_top: phi phi^* o (S_lam (x) 1_m), and the inverse
+    square root of S_lam (x) I_m on its numerical range."""
+    A = -_szego_gamma(phi.sample, target_blocks(phi, 0.0), lam)
+    ks = szego_factor(phi.sample, lam)
+    return A, hermitian_sqrt(np.kron(ks, np.eye(phi.m_out)))[1]
+
+
+def _szego_top(phi: FunctionSample, lam: MultiIndex, shift: float | np.ndarray = 0.0,
+               pencil: tuple | None = None) -> tuple[float, np.ndarray]:
     """Top generalized eigenpair of phi phi^* o (S_lam (x) 1_m) - diag(shift)
     against S_lam (x) I_m.  At shift 0 the eigenvalue is the least c^2 at
     which _szego_gamma of c^2 J - phi phi^* is PSD.  At shift = feas_tol
@@ -481,10 +489,9 @@ def _szego_top(phi: FunctionSample, lam: MultiIndex,
     eigenvector still separates within the validator's feas_tol, since the
     largest entry of that PSD witness sits on its diagonal.  The eigenvector
     has unit norm, which keeps the rank-one defect kernels of that witness
-    within the admissibility check's absolute tolerance."""
-    A = -_szego_gamma(phi.sample, target_blocks(phi, 0.0), lam)
-    ks = szego_factor(phi.sample, lam)
-    Bi = hermitian_sqrt(np.kron(ks, np.eye(phi.m_out)))[1]  # on the numerical range
+    within the admissibility check's absolute tolerance.  pencil, when
+    given, is _szego_pencil(phi, lam), built once for several shifts."""
+    A, Bi = pencil or _szego_pencil(phi, lam)
     w, V = np.linalg.eigh(hermitize(Bi @ (A - np.diag(shift * np.ones(len(A)))) @ Bi))
     u = Bi @ V[:, -1]
     return float(w[-1]), u / np.linalg.norm(u)
@@ -514,7 +521,10 @@ def _ample_shortcut(sample: PointSample, preordering: Preordering, R_blocks: np.
     w, V = np.linalg.eigh(A)
     scale = max(np.abs(w).max(), 1.0)
     if w.min() >= -params.feas_tol * scale:
-        cert = _szego_certificate(sample, [lam_m], lam_m, A, c)
+        # psd_clip(A) from this eigendecomposition: A comes out of hermitize,
+        # so hermitize(A) is A and psd_clip would eigen-solve the same matrix
+        cert = AglerCertificate({lam_m: HermitianKernel.from_assembled(
+            sample, (V * np.clip(w, 0, None)) @ V.conj().T)}, c)
         ok, resid, _ = validate_certificate_target(sample, preordering, R_blocks, cert,
                                                    params.feas_tol)
         if ok:
@@ -603,12 +613,17 @@ class Colligation:
         object.__setattr__(self, "partition", part)
         U = self.operator()
         if self.contractive:
-            if spectral_norm(U) > 1 + 1e-10:
-                raise ValueError(f"colligation flagged contractive has norm {spectral_norm(U)}")
+            norm = spectral_norm(U)
+            if norm > 1 + 1e-10:
+                raise ValueError(f"colligation flagged contractive has norm {norm}")
         else:
-            err = spectral_norm(U.conj().T @ U - np.eye(U.shape[0]))
-            if err > 1e-10:
-                raise ValueError(f"colligation is not unitary: |U*U - 1| = {err:.3e}")
+            # the Frobenius norm bounds the spectral one: only a colligation
+            # that fails this cheap screen pays for the SVD
+            G = U.conj().T @ U - np.eye(U.shape[0])
+            if np.linalg.norm(G) > 1e-10:
+                err = spectral_norm(G)
+                if err > 1e-10:
+                    raise ValueError(f"colligation is not unitary: |U*U - 1| = {err:.3e}")
 
     @property
     def state_dim(self) -> int:
@@ -843,10 +858,11 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
     cls = classify(preordering)
     if cls.is_ample and not params.force_iterative:
         lam = cls.lambda_max
-        hi = _szego_end(phi, preordering, lams, lam, params)
+        pencil = _szego_pencil(phi, lam)
+        hi = _szego_end(phi, preordering, lams, lam, params, pencil)
         shift = params.feas_tol * np.repeat(np.diag(szego_factor(phi.sample, lam)).real,
                                             phi.m_out)
-        u = _szego_top(phi, lam, shift)[1]
+        u = _szego_top(phi, lam, shift, pencil)[1]
         lo = _witness_end(phi, preordering, _szego_witness(phi.sample, lam, u), params, sup)
         return _norm_result(hi, lo, sup, tol)
     ws = _Workspace(phi.sample, lams, target_blocks(phi, 0.0), params.feas_tol)
@@ -892,9 +908,9 @@ def _certificate_end(phi, preordering, c_sq, build, params):
     return (c, cert) if ok else None
 
 
-def _szego_end(phi, preordering, lams, lam, params):
+def _szego_end(phi, preordering, lams, lam, params, pencil=None):
     """_certificate_end of the certificate on lam alone, at its closed-form c^2."""
-    return _certificate_end(phi, preordering, _szego_top(phi, lam)[0], lambda c: (
+    return _certificate_end(phi, preordering, _szego_top(phi, lam, 0.0, pencil)[0], lambda c: (
         _szego_certificate(phi.sample, lams, lam,
                            _szego_gamma(phi.sample, target_blocks(phi, c), lam), c)), params)
 

@@ -123,26 +123,67 @@ def array_to_json(arr: np.ndarray) -> np.ndarray:
 
 
 def json_to_array(doc, path: str = "$") -> np.ndarray:
-    """Nested [re, im] lists back to a complex ndarray."""
+    """Nested [re, im] lists back to a complex ndarray, in one conversion.
+
+    A rectangular array of int and float pairs goes through numpy once, as
+    float64 pairs viewed as complex, which keeps a -0.0 in either part.  Any
+    other document goes through _walk_pairs, which names the field it refuses.
+    A number that does not fit a float, 1e999 or an integer past 1.8e308,
+    is refused as not finite."""
+    pairs = _float_pairs(doc)
+    arr = _walk_pairs(doc, path) if pairs is None else pairs.view(complex)[..., 0]
+    bad = ~np.isfinite(arr[..., None].view(float))
+    if bad.any():  # JSON text cannot spell these, but 1e999 parses as inf
+        raise FormatError(path + "".join(f"[{i}]" for i in np.argwhere(bad)[0]),
+                          "must be a finite number")
+    return arr
+
+
+def _float_pairs(doc) -> np.ndarray | None:
+    """doc as a float64 array whose last axis holds the pairs, or None unless
+    it is a rectangular array of [re, im] pairs of ints and floats that all fit
+    a float."""
+    if not isinstance(doc, list):
+        return None
+    try:
+        vals = np.array(doc, dtype=object)
+    except ValueError:  # nesting too uneven for numpy even to hold the lists
+        return None
+    if vals.shape[-1:] != (2,) or not set(map(type, vals.flat)) <= {int, float}:
+        return None  # type() is exact, so a bool is refused here
+    try:
+        return vals.astype(float)
+    except OverflowError:  # an integer past the float range
+        return None
+
+
+def _walk_pairs(doc, path: str) -> np.ndarray:
+    """The complex array of doc, read pair by pair, or the FormatError that
+    names the first field that is not a number in an [re, im] pair, or a
+    ragged array; an integer too large for a float reads as inf."""
     def parse(node, p):
         if isinstance(node, list) and len(node) == 2 and not any(
                 isinstance(v, list) for v in node):
             for i, v in enumerate(node):
                 _check_type(v, (int, float), "a number in an [re, im] pair", f"{p}[{i}]")
-            return complex(node[0], node[1])
+            return complex(*(_float_or_inf(v) for v in node))
         if isinstance(node, list):
             return [parse(v, f"{p}[{i}]") for i, v in enumerate(node)]
         raise FormatError(p, "expected [re, im] pair or nested array")
     parsed = parse(doc, path)
     try:
-        arr = np.array(parsed, dtype=complex)
+        return np.array(parsed, dtype=complex)
     except ValueError as exc:
         raise FormatError(path, f"ragged complex array: {exc}") from None
-    bad = ~np.isfinite(np.stack((arr.real, arr.imag), axis=-1))
-    if bad.any():  # JSON text cannot spell these, but 1e999 parses as inf
-        raise FormatError(path + "".join(f"[{i}]" for i in np.argwhere(bad)[0]),
-                          "must be a finite number")
-    return arr
+
+
+def _float_or_inf(v) -> float:
+    """A JSON number as a float; an integer past the float range is inf, so
+    that it is refused as 1e999 is."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +357,8 @@ def json_to_tuple(doc, path: str = "$"):
 _NUMBER = ((int, float), "a number")
 # the solver fields: (JSON types, type name, range check or None, range description)
 _SOLVER_FIELDS = {
-    "feas_tol": (*_NUMBER, lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+    "feas_tol": (*_NUMBER, lambda v: math.isfinite(_float_or_inf(v)) and v > 0,
+                 "finite and positive"),
     "max_iter": ((int,), "an integer", lambda v: v >= 0, ">= 0"),
     "force_iterative": ((bool,), "a boolean", None, ""),
 }
@@ -334,7 +376,7 @@ def json_number(doc: dict, key: str, default):
     if key not in doc:
         return default
     _check_type(doc[key], *_NUMBER, f"$.{key}")
-    if not math.isfinite(doc[key]):
+    if not math.isfinite(_float_or_inf(doc[key])):
         raise FormatError(f"$.{key}", "must be a finite number")
     if key == "tol" and doc[key] < 0:
         raise FormatError("$.tol", "must be finite and >= 0")

@@ -465,6 +465,9 @@ def _two_point(preordering):
             "preordering": preordering}
 
 
+_HUGE_INT = "1" + "0" * 400  # a JSON integer that no float holds
+
+
 # 12345.5 stands in for a token that dumps cannot write
 @pytest.mark.parametrize("command, flags, fields, token, message", [
     ("decompose", [], {"preordering": [[1, 1, 1]]}, None, "$.preordering: dimension 3"),
@@ -514,6 +517,19 @@ def _two_point(preordering):
         np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.5]], (), contractive=True)),
         "contractive": "false"}, "points": [[[0.1, 0.0], [0.2, 0.0]]]},
      None, "$.colligation.contractive: must be a boolean"),
+    # an integer past the float range is refused where 1e999 is, with its field
+    *[pytest.param(command, [], fields, sign + _HUGE_INT, message, id=f"{name}-{kind}-int")
+      for sign, kind in (("", "huge"), ("-", "huge-negative"))
+      for name, command, fields, message in (
+          ("points", "decompose", {"points": [[[0.1, 0.0], [12345.5, 0.0]],
+                                               [[0.2, 0.0], [0.3, 0.0]]]},
+           "$.points[0][1][0]: must be a finite number"),
+          ("phi", "norm", {"phi": [[[[0.1, 0.0]]], [[[0.1, 12345.5]]]]},
+           "$.phi[1][0][0][1]: must be a finite number"),
+          ("c", "decompose", {"c": 12345.5}, "$.c: must be a finite number"),
+          ("tol", "norm", {"tol": 12345.5}, "$.tol: must be a finite number"),
+          ("feas-tol", "decompose", {"solver": {"feas_tol": 12345.5}},
+           "$.solver.feas_tol: must be finite and positive"))],
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):
@@ -640,9 +656,10 @@ def test_unreadable_input_exits_1(target, tmp_path, capsys):
 
 
 # JSON values of the wrong type, zero or negative integers, and non-finite numbers;
-# "1e999" is spelled out in the text, where json.loads reads it as inf
+# "1e999" is spelled out in the text, where json.loads reads it as inf, and
+# 10**400 is written as its 401 digits
 _REPLACEMENTS = ["x", True, None, {}, [], 0, -1, -3, 1.5, float("nan"), float("inf"),
-                 "1e999"]
+                 "1e999", 10 ** 400]
 
 
 @st.composite

@@ -192,6 +192,38 @@ class TestLurkingIsometry:
             lurking_isometry(out.certificate, wrong)
 
 
+def _perturbed_colligation(defect, contractive=False, scale=1.0):
+    """A colligation on classical(2) with slots 2 + 1 and m = 2 whose operator
+    is scale U diag(sqrt(1 + defect)) for a unitary U, so U*U - 1 is
+    diag(defect) up to rounding."""
+    U = random_unitary(RNG(61), 5) * np.sqrt(1 + np.asarray(defect, dtype=float)) * scale
+    return Colligation(U[:3, :3], U[:3, 3:], U[3:, :3], U[3:, 3:],
+                       (((1, 0), 2), ((0, 1), 1)), contractive=contractive)
+
+
+class TestUnitarityScreen:
+    """The Frobenius screen decides only what the spectral check would accept."""
+
+    @pytest.mark.parametrize("defect", [[0.5e-10, 0, 0, 0, 0], [0.9e-10] * 5,
+                                        [-0.99e-10, 0.99e-10, 0.9e-10, 0, 0]],
+                             ids=["frobenius-below", "frobenius-above", "mixed-signs"])
+    def test_spectral_norm_just_below_is_accepted(self, defect):
+        assert _perturbed_colligation(defect).state_dim == 3
+
+    @pytest.mark.parametrize("defect", [[1.1e-10, 0, 0, 0, 0], [1.1e-10] * 5,
+                                        [0, 0, 0, 0, -1.1e-10]])
+    def test_spectral_norm_just_above_is_refused(self, defect):
+        with pytest.raises(ValueError, match=r"^colligation is not unitary: "
+                                             r"\|U\*U - 1\| = 1\.100e-10$"):
+            _perturbed_colligation(defect)
+
+    def test_contractive_norm_bound(self):
+        assert _perturbed_colligation([0] * 5, True, 1 + 0.5e-10).contractive
+        with pytest.raises(ValueError,
+                           match=r"^colligation flagged contractive has norm 1\.0000000002"):
+            _perturbed_colligation([0] * 5, True, 1 + 2e-10)
+
+
 class TestEvalTransfer:
     def test_identity_colligation(self):
         col = Colligation(np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
@@ -690,6 +722,64 @@ def test_norm_at_tol_zero_matches_drained_reference(pre, N, key):
     assert (got.witness is None) == (ref.witness is None)
     if ref.witness is not None:
         assert np.array_equal(got.witness.kernel.blocks, ref.witness.kernel.blocks)
+
+
+def ref_szego_top(phi, lam, shift=0.0):
+    """_szego_top as it built its pencil on every call."""
+    from aglerlab import realize as rz
+    from aglerlab._linalg import hermitian_sqrt, hermitize
+    A = -rz._szego_gamma(phi.sample, rz.target_blocks(phi, 0.0), lam)
+    ks = rz.szego_factor(phi.sample, lam)
+    Bi = hermitian_sqrt(np.kron(ks, np.eye(phi.m_out)))[1]
+    w, V = np.linalg.eigh(hermitize(Bi @ (A - np.diag(shift * np.ones(len(A)))) @ Bi))
+    u = Bi @ V[:, -1]
+    return float(w[-1]), u / np.linalg.norm(u)
+
+
+def ref_ample_norm(phi, pre, tol, params):
+    """The ample norm with one _szego_top call per end, each building the pencil."""
+    from aglerlab import realize as rz
+    sup = phi.sup_norm()
+    lams = rz._decomposition_lambdas(pre)
+    lam = rz.classify(pre).lambda_max
+    hi = rz._certificate_end(phi, pre, ref_szego_top(phi, lam)[0], lambda c: (
+        rz._szego_certificate(phi.sample, lams, lam,
+                              rz._szego_gamma(phi.sample, rz.target_blocks(phi, c), lam), c)),
+        params)
+    shift = params.feas_tol * np.repeat(np.diag(rz.szego_factor(phi.sample, lam)).real,
+                                        phi.m_out)
+    u = ref_szego_top(phi, lam, shift)[1]
+    lo = rz._witness_end(phi, pre, rz._szego_witness(phi.sample, lam, u), params, sup)
+    return rz._norm_result(hi, lo, sup, tol)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [4, 16, 32, 64])
+def test_ample_norm_matches_the_two_pencil_reference(N, m):
+    phi, _ = random_transfer_sample(RNG([67, N, m]), N, 2, m)
+    params = SolverParams()
+    got = schur_agler_norm(phi, standard_ample(2), tol=1e-6, params=params)
+    ref = ref_ample_norm(phi, standard_ample(2), 1e-6, params)
+    assert (got.c_lo.hex(), got.c_hi.hex()) == (ref.c_lo.hex(), ref.c_hi.hex())
+    assert got.evaluations == ref.evaluations and got.certificate is not None
+    lam = (1, 1)
+    assert np.array_equal(got.certificate.gammas[lam].blocks, ref.certificate.gammas[lam].blocks)
+    assert np.array_equal(got.witness.kernel.blocks, ref.witness.kernel.blocks)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_ample_certificate_is_the_psd_clip_of_its_gamma(N, m):
+    """decide_target clips Gamma from the eigendecomposition that decided it;
+    the blocks are psd_clip's, bit for bit."""
+    from aglerlab import realize as rz
+    phi, _ = random_transfer_sample(RNG([71, N, m]), N, 2, m)
+    R = target_blocks(phi, 1.1)
+    out = decide_target(phi.sample, standard_ample(2), R, 1.1)
+    ref = rz._szego_certificate(phi.sample, [(1, 1)], (1, 1),
+                                rz._szego_gamma(phi.sample, R, (1, 1)), 1.1)
+    assert out.status == "feasible" and out.certificate.lambdas() == ref.lambdas()
+    assert np.array_equal(out.certificate.gammas[(1, 1)].blocks, ref.gammas[(1, 1)].blocks)
 
 
 @pytest.mark.parametrize("key", [[1, 19], [1, 40], [2, 37], [5, 43]])

@@ -1,11 +1,14 @@
 """JSON schemas: round trips, float formatting, determinism, diagnostics."""
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from aglerlab import serialize
 from aglerlab.kernels import szego_kernel
 from aglerlab.preorder import Preordering, classical
 from aglerlab.realize import Colligation, SolverParams, agler_decompose, lurking_isometry
@@ -192,6 +195,82 @@ def test_arrays_must_be_finite():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(FormatError, match=r"^\$\.x\[1\]\[1\]: must be a finite"):
             json_to_array([[1.0, 0.0], [0.5, bad]], "$.x")
+
+
+# ---------------------------------------------------------------------------
+# the one-conversion array reader against the pair-by-pair walk
+
+
+# -0.0, subnormals, the largest double, and integers past 2^53 and 2^64 and
+# up to the largest that a double holds
+_EDGE_NUMBERS = [-0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1.7976931348623157e308,
+                 2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 64 + 1, -(2 ** 64) - 1, 2 ** 1024 - 2 ** 970 - 1]
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-(2 ** 70), 2 ** 70), st.sampled_from(_EDGE_NUMBERS))
+# what no double holds, or no [re, im] pair takes: 2^1024 - 2^970 rounds up to 2^1024
+_NOT_NUMBERS = [True, False, "1", None, {}, [], 10 ** 400, -(10 ** 400), 2 ** 1024 - 2 ** 970,
+                float("inf"), float("nan")]
+
+
+@st.composite
+def _pair_arrays(draw, min_len=0):
+    """Nested lists of [re, im] pairs, 0-4 axes above the pairs (depth 1-5)."""
+    dims = draw(st.lists(st.integers(min_len, 3), max_size=4))
+
+    def build(dims):
+        if not dims:
+            return [draw(_NUMBERS), draw(_NUMBERS)]
+        return [build(dims[1:]) for _ in range(dims[0])]
+    return build(dims), dims
+
+
+def _read(doc, walk: bool):
+    """json_to_array's dtype, shape and bytes, or its error; walk=True reads
+    every document pair by pair."""
+    with mock.patch.object(serialize, "_float_pairs", lambda doc: None) if walk \
+            else contextlib.nullcontext():
+        try:
+            arr = json_to_array(doc, "$.x")
+        except FormatError as exc:
+            return str(exc)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_pair_arrays())
+def test_array_reader_is_the_walk_bit_for_bit(case):
+    doc, dims = case
+    if 0 not in dims:  # an empty axis leaves no pair to see, so the walk reads it
+        assert serialize._float_pairs(doc) is not None
+    got = _read(doc, walk=False)
+    assert not isinstance(got, str) and got == _read(doc, walk=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_pair_arrays(min_len=1), data=st.data())
+def test_array_reader_refuses_as_the_walk_does(case, data):
+    doc, dims = case
+    pair, parent = doc, None  # walk down to one pair, and the list that holds it
+    for n in dims:
+        parent = pair
+        pair = pair[data.draw(st.integers(0, n - 1))]
+    kinds = ["value", "triple", "nested"] + (["drop", "grow"] if parent else [])
+    kind = data.draw(st.sampled_from(kinds))
+    i = data.draw(st.integers(0, 1))
+    if kind == "value":
+        pair[i] = data.draw(st.sampled_from(_NOT_NUMBERS))
+    elif kind == "triple":
+        pair.append(pair[i])
+    elif kind == "nested":  # a pair in place of a number in a pair
+        pair[i] = [pair[i], 0.0]
+    elif kind == "drop":  # ragged where the list held more than one entry
+        parent.remove(pair)
+    else:
+        parent.append(1.0)
+    got = _read(doc, walk=False)
+    assert got == _read(doc, walk=True)
+    if kind in ("value", "triple", "nested"):
+        assert isinstance(got, str) and got.startswith("$.x")
 
 
 class TestAtomicWrite:
