@@ -36,8 +36,9 @@ script runs against any tree.  The corpus:
   and zero tolerances, a boolean in phi, a boolean, a fraction and a string
   in a preordering, a string contractive flag on a colligation, colligation
   partitions whose multi-indices differ in length or whose multiplicities
-  are negative, points of dimension 0, and a 1 x 2-valued phi through norm,
-  alone, with c and identically zero;
+  are negative, a colligation of finite entries whose U*U overflows, points
+  of dimension 0, and a 1 x 2-valued phi through norm, alone, with c and
+  identically zero;
 - command lines that argparse refuses: the removed flags --feas-tol,
   --max-iter and --seed, an unknown command and an unknown flag;
 - an --input that does not exist and one that is a directory, and an --output
@@ -384,6 +385,11 @@ def malformed_inputs(corpus: Corpus) -> None:
                    {"colligation": {**colligation_to_json(col), "partition": [
                        {"lambda": lam, "mult": mult} for lam, mult in part]},
                     "points": [[[0.1, 0.0], [0.2, 0.0]]]})
+    big = [[[1e200, 0.0]]]
+    corpus.doc("bad-eval-colligation-overflow", ["eval"],
+               {"colligation": {"A": big, "B": big, "C": big, "D": [[[-1e200, 0.0]]],
+                                "partition": [{"lambda": [1], "mult": 1}]},
+                "points": [[[0.1, 0.0]]]})
     for command in ("decompose", "aux"):
         corpus.doc(f"bad-{command}-points-d0", [command],
                    {"points": [[], []], "phi": [[[[0.5, 0.0]]], [[[0.5, 0.0]]]],

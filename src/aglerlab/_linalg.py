@@ -37,7 +37,11 @@ def spectral_norm(M: np.ndarray):
 
 def psd_clip(M: np.ndarray) -> np.ndarray:
     """Project a Hermitian matrix onto the PSD cone (eigenvalue clipping)."""
-    w, V = np.linalg.eigh(hermitize(M))
+    return clip_eig(*np.linalg.eigh(hermitize(M)))
+
+
+def clip_eig(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """psd_clip of the Hermitian matrix with eigendecomposition (w, V)."""
     return (V * np.clip(w, 0, None)) @ V.conj().T
 
 

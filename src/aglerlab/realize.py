@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (DEFAULT_TOL, block_diag, hermitian_sqrt, hermitize, polar_isometry,
-                      psd_clip, spectral_norm)
+from ._linalg import (DEFAULT_TOL, block_diag, clip_eig, hermitian_sqrt, hermitize,
+                      polar_isometry, psd_clip, spectral_norm)
 from .auxfun import monomial_rows, psi_rows, row_sqnorms
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                       kolmogorov, psd_check, szego_factor)
@@ -506,10 +506,10 @@ def _szego_witness(sample: PointSample, lam: MultiIndex, u: np.ndarray) -> Hermi
 
 
 def _szego_certificate(sample: PointSample, lams: list[MultiIndex], lam: MultiIndex,
-                       gamma: np.ndarray, c: float) -> AglerCertificate:
-    """Gamma_lam = gamma (a _szego_gamma) clipped to PSD, every other Gamma zero."""
+                       clipped: np.ndarray, c: float) -> AglerCertificate:
+    """Gamma_lam = clipped (a _szego_gamma clipped to PSD), every other Gamma zero."""
     gammas = {mu: HermitianKernel.from_assembled(
-        sample, psd_clip(gamma) if mu == lam else np.zeros_like(gamma)) for mu in lams}
+        sample, clipped if mu == lam else np.zeros_like(clipped)) for mu in lams}
     return AglerCertificate(gammas, c)
 
 
@@ -523,8 +523,7 @@ def _ample_shortcut(sample: PointSample, preordering: Preordering, R_blocks: np.
     if w.min() >= -params.feas_tol * scale:
         # psd_clip(A) from this eigendecomposition: A comes out of hermitize,
         # so hermitize(A) is A and psd_clip would eigen-solve the same matrix
-        cert = AglerCertificate({lam_m: HermitianKernel.from_assembled(
-            sample, (V * np.clip(w, 0, None)) @ V.conj().T)}, c)
+        cert = _szego_certificate(sample, [lam_m], lam_m, clip_eig(w, V), c)
         ok, resid, _ = validate_certificate_target(sample, preordering, R_blocks, cert,
                                                    params.feas_tol)
         if ok:
@@ -614,14 +613,16 @@ class Colligation:
         U = self.operator()
         if self.contractive:
             norm = spectral_norm(U)
-            if norm > 1 + 1e-10:
+            if not norm <= 1 + 1e-10:  # a NaN norm is refused too
                 raise ValueError(f"colligation flagged contractive has norm {norm}")
         else:
             # the Frobenius norm bounds the spectral one: only a colligation
-            # that fails this cheap screen pays for the SVD
-            G = U.conj().T @ U - np.eye(U.shape[0])
-            if np.linalg.norm(G) > 1e-10:
-                err = spectral_norm(G)
+            # that fails this cheap screen pays for the SVD.  A U*U that
+            # overflowed to inf or NaN fails it and is refused without one.
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = U.conj().T @ U - np.eye(U.shape[0])
+            if not np.linalg.norm(G) <= 1e-10:
+                err = spectral_norm(G) if np.isfinite(G).all() else np.inf
                 if err > 1e-10:
                     raise ValueError(f"colligation is not unitary: |U*U - 1| = {err:.3e}")
 
@@ -910,9 +911,11 @@ def _certificate_end(phi, preordering, c_sq, build, params):
 
 def _szego_end(phi, preordering, lams, lam, params, pencil=None):
     """_certificate_end of the certificate on lam alone, at its closed-form c^2."""
-    return _certificate_end(phi, preordering, _szego_top(phi, lam, 0.0, pencil)[0], lambda c: (
-        _szego_certificate(phi.sample, lams, lam,
-                           _szego_gamma(phi.sample, target_blocks(phi, c), lam), c)), params)
+    def build(c):
+        gamma = _szego_gamma(phi.sample, target_blocks(phi, c), lam)
+        return _szego_certificate(phi.sample, lams, lam, psd_clip(gamma), c)
+    return _certificate_end(phi, preordering, _szego_top(phi, lam, 0.0, pencil)[0], build,
+                            params)
 
 
 def _witness_end(phi, preordering, kern, params, sup):

@@ -530,6 +530,13 @@ _HUGE_INT = "1" + "0" * 400  # a JSON integer that no float holds
           ("tol", "norm", {"tol": 12345.5}, "$.tol: must be a finite number"),
           ("feas-tol", "decompose", {"solver": {"feas_tol": 12345.5}},
            "$.solver.feas_tol: must be finite and positive"))],
+    # finite entries whose U*U overflows to inf and NaN: refused, not evaluated
+    pytest.param("eval", [], {"colligation": {
+        "A": [[[1e200, 0.0]]], "B": [[[1e200, 0.0]]], "C": [[[1e200, 0.0]]],
+        "D": [[[-1e200, 0.0]]], "partition": [{"lambda": [1], "mult": 1}]},
+        "points": [[[0.1, 0.0]]]}, None,
+        "$.colligation: colligation is not unitary: |U*U - 1| = inf",
+        id="eval-overflowing-colligation"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aglerlab._linalg import DEFAULT_TOL, polar_isometry
+from aglerlab._linalg import DEFAULT_TOL, polar_isometry, psd_clip
 from aglerlab.kernels import (HermitianKernel, PointSample, defect_factor, kolmogorov,
                               ones_kernel, psd_check)
 from aglerlab.opmodel import kv_polynomial
@@ -216,6 +216,13 @@ class TestUnitarityScreen:
         with pytest.raises(ValueError, match=r"^colligation is not unitary: "
                                              r"\|U\*U - 1\| = 1\.100e-10$"):
             _perturbed_colligation(defect)
+
+    def test_overflowing_colligation_is_refused(self):
+        # U*U overflows: its entries are inf or NaN, so no norm of it is finite
+        big = [[1e200]]
+        with pytest.raises(ValueError, match=r"^colligation is not unitary: "
+                                             r"\|U\*U - 1\| = inf$"):
+            Colligation(big, big, big, [[-1e200]], ((unit(1, 0), 1),))
 
     def test_contractive_norm_bound(self):
         assert _perturbed_colligation([0] * 5, True, 1 + 0.5e-10).contractive
@@ -685,8 +692,8 @@ def ref_iterative_norm(phi, pre, tol, params):
     if hi is None:
         def szego_cert(lam):
             return lambda c: rz._szego_certificate(
-                phi.sample, lams, lam, rz._szego_gamma(phi.sample, rz.target_blocks(phi, c),
-                                                       lam), c)
+                phi.sample, lams, lam, psd_clip(rz._szego_gamma(
+                    phi.sample, rz.target_blocks(phi, c), lam)), c)
         hi = rz._first(rz._certificate_end(phi, pre, rz._szego_top(phi, lam)[0],
                                            szego_cert(lam), params) for lam in lams)
     lo = lower[1] is not None and rz._witness_end(phi, pre, ws.witness_kernel(lower), params,
@@ -744,7 +751,8 @@ def ref_ample_norm(phi, pre, tol, params):
     lam = rz.classify(pre).lambda_max
     hi = rz._certificate_end(phi, pre, ref_szego_top(phi, lam)[0], lambda c: (
         rz._szego_certificate(phi.sample, lams, lam,
-                              rz._szego_gamma(phi.sample, rz.target_blocks(phi, c), lam), c)),
+                              psd_clip(rz._szego_gamma(phi.sample, rz.target_blocks(phi, c),
+                                                       lam)), c)),
         params)
     shift = params.feas_tol * np.repeat(np.diag(rz.szego_factor(phi.sample, lam)).real,
                                         phi.m_out)
@@ -776,10 +784,10 @@ def test_ample_certificate_is_the_psd_clip_of_its_gamma(N, m):
     phi, _ = random_transfer_sample(RNG([71, N, m]), N, 2, m)
     R = target_blocks(phi, 1.1)
     out = decide_target(phi.sample, standard_ample(2), R, 1.1)
-    ref = rz._szego_certificate(phi.sample, [(1, 1)], (1, 1),
-                                rz._szego_gamma(phi.sample, R, (1, 1)), 1.1)
-    assert out.status == "feasible" and out.certificate.lambdas() == ref.lambdas()
-    assert np.array_equal(out.certificate.gammas[(1, 1)].blocks, ref.gammas[(1, 1)].blocks)
+    ref = HermitianKernel.from_assembled(phi.sample,
+                                         psd_clip(rz._szego_gamma(phi.sample, R, (1, 1))))
+    assert out.status == "feasible" and out.certificate.lambdas() == [(1, 1)]
+    assert np.array_equal(out.certificate.gammas[(1, 1)].blocks, ref.blocks)
 
 
 @pytest.mark.parametrize("key", [[1, 19], [1, 40], [2, 37], [5, 43]])
