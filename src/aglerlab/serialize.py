@@ -244,6 +244,8 @@ def json_to_preordering(doc, path: str = "$.preordering") -> Preordering:
     for i, lam in enumerate(doc):
         for j, v in enumerate(lam):
             _check_type(v, (int,), "an integer", f"{path}[{i}][{j}]")
+            if abs(v) >= 2 ** 63:  # range() and numpy take nothing larger
+                raise FormatError(f"{path}[{i}][{j}]", "must be an integer that fits 64 bits")
     try:
         return Preordering([tuple(lam) for lam in doc])
     except (TypeError, ValueError) as exc:

@@ -537,6 +537,20 @@ _HUGE_INT = "1" + "0" * 400  # a JSON integer that no float holds
         "points": [[[0.1, 0.0]]]}, None,
         "$.colligation: colligation is not unitary: |U*U - 1| = inf",
         id="eval-overflowing-colligation"),
+    # a preordering entry past 64 bits is refused with its field, not by range() or numpy
+    *[pytest.param(command, [], fields, token, message, id=f"{command}-preordering-{kind}")
+      for kind, token in (("huge-int", _HUGE_INT), ("2-to-63", str(2 ** 63)))
+      for command, fields, message in (
+          ("brehmer", {"name": "kv", "preordering": [[1, 0, 0], [0, 12345.5, 0], [0, 0, 1]]},
+           "$.preordering[1][1]: must be an integer that fits 64 bits"),
+          ("check-kernel", {"kernel": kernel_to_json(szego_kernel(
+              PointSample(np.array([[0.5], [-0.5]])), (1,))), "preordering": [[12345.5]]},
+           "$.preordering[0][0]: must be an integer that fits 64 bits"),
+          ("decompose", {"preordering": [[1, 0], [0, 12345.5]]},
+           "$.preordering[1][1]: must be an integer that fits 64 bits"))],
+    pytest.param("norm", [], {"preordering": [[1, 0], [0, 12345.5]]}, "-" + _HUGE_INT,
+                 "$.preordering[1][1]: must be an integer that fits 64 bits",
+                 id="norm-preordering-minus-huge-int"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):

@@ -71,7 +71,7 @@ def test_ample_lower_end_below_nearly_ample_upper_end(seed, n, drop, scale):
     assert ample.c_lo <= nearly.c_hi
 
 
-def _counted_norm(phi, pre, tol):
+def _counted_norm(phi, pre, tol, params=None):
     """schur_agler_norm and the number of Newton steps its solve took."""
     steps = [0]
     newton_step = realize._newton_step
@@ -82,7 +82,7 @@ def _counted_norm(phi, pre, tol):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(realize, "_newton_step", counted)
-        return schur_agler_norm(phi, pre, tol=tol), steps[0]
+        return schur_agler_norm(phi, pre, tol, params), steps[0]
 
 
 @SMALL
@@ -307,3 +307,31 @@ def test_newton_step_matches_the_reference_bit_for_bit(name):
             dX, dt, dZ, dz = sign * (X1 - X), sign * (t1 - t), sign * (Z1 - Z), sign * (z1 - z)
             assert np.array_equal(realize._max_steps(Li, (dX, t, dt), (dZ, z, dz)),
                                   ref_max_steps((X, dX, t, dt), (Z, dZ, z, dz)))
+
+
+def _norm_bracket_op(seed, i):
+    """The phi and preordering of op i of the norm-bracket workload at seed."""
+    pre, N = ((classical(2), 4), (classical(2), 8), (standard_nearly_ample(3, 0, 1), 4))[i % 3]
+    phi, _ = random_transfer_sample(np.random.default_rng([seed, i]), N, pre.d)
+    return phi, pre
+
+
+def test_norm_bracket_seed_1639_op_4_has_an_upper_end():
+    # every transfer sample of a unitary colligation has c* <= 1, so a sound
+    # solve gives c_hi <= 1 + tol; from the start X = scale I this solve
+    # validates no certificate and gives c_hi = inf
+    phi, pre = _norm_bracket_op(1639, 4)
+    out = schur_agler_norm(phi, pre, 1e-4, NORM_PARAMS)
+    assert out.resolved and out.c_hi <= 1 + 1e-4
+    assert validate_certificate(phi, pre, out.c_hi, out.certificate, FEAS_TOL)[0]
+
+
+# Newton steps of the norms of norm-bracket seed 1, ops 0-11 (four draws of each
+# of its three kinds): 110 under one and under two BLAS threads with the start
+# X = 0.1 scale I, and 150 with X = scale I; the bound is 110 plus 10%
+NORM_BRACKET_STEP_BOUND = 121
+
+
+def test_norm_bracket_ops_stay_within_their_newton_steps():
+    total = sum(_counted_norm(*_norm_bracket_op(1, i), 1e-4, NORM_PARAMS)[1] for i in range(12))
+    assert total <= NORM_BRACKET_STEP_BOUND
