@@ -10,7 +10,9 @@ corpus directories:
 
 The package is whichever `aglerlab` the interpreter imports, so the same
 script runs against any tree.  The corpus:
-- the cli-batch documents of perfbench/workloads.py for seeds 101 and 102;
+- the cli-batch documents of perfbench/workloads.py for seeds 101 and 102,
+  and seed 1909's op 12, a decompose whose witness validates while its
+  certificate holds only within feas_tol;
 - realize, pick and eval documents on classical(2), standard_ample(2) and
   standard_nearly_ample(3,0,1) at N in {4, 5, 8}, m in {1, 2} and
   c in {0.95, 1, 1.2}, plus eval documents with repeated, boundary,
@@ -34,7 +36,8 @@ script runs against any tree.  The corpus:
   integers of 401 digits where a number goes, a point written
   without its list, Pick data sized for the wrong node count, negative
   and zero tolerances, a boolean in phi, a boolean, a fraction, a string and
-  an integer of 401 digits in a preordering, a string contractive flag on a
+  an integer of 401 digits in a preordering, preordering elements of total
+  degree 10^5 and elements whose defect overflows, a string contractive flag on a
   colligation, colligation partitions whose multi-indices differ in length
   or whose multiplicities are negative, a colligation of finite entries
   whose U*U overflows, points of dimension 0, and a 1 x 2-valued phi through
@@ -131,6 +134,17 @@ def cli_batch(corpus: Corpus, seed: int) -> None:
         corpus.run(f"cli-batch-{seed}-{op.index:02d}-{op.label}", op.payload["argv"])
 
 
+def witness_outranks(corpus: Corpus) -> None:
+    """cli-batch seed 1909, op 12: the Szego Gamma's least eigenvalue is -2.2e-8,
+    within feas_tol, and the witness from its eigenvector validates."""
+    rng = np.random.default_rng(1909)
+    for N, m in ((16, 1), (16, 2), (32, 1)):
+        phi, _ = random_transfer_sample(rng, N, 2, m)
+    corpus.doc("decompose-ample-witness-within-tol", ["decompose"],
+               {**function_sample_to_json(phi), "preordering": [[1, 1]],
+                "c": float.fromhex("0x1.fe038981a87fcp-1")})
+
+
 def grid(corpus: Corpus) -> None:
     for k, (pname, pre, d) in enumerate(PREORDERINGS):
         pre_json = preordering_to_json(pre)
@@ -225,6 +239,17 @@ def malformed(corpus: Corpus) -> None:
         text = dumps([[int(huge), *pre[0][1:]], *pre[1:]])
         corpus.doc(f"malformed-{command}-preordering-huge-int", [command],
                    {**others[command], "preordering": "pre"}, replace=('"pre"', text))
+        # an element of total degree past 1023 is refused with its index
+        corpus.doc(f"malformed-{command}-preordering-degree", [command],
+                   {**others[command], "preordering": [[10 ** 5, *pre[0][1:]], *pre[1:]]})
+    # and so is an element whose defect overflows: 3^1000 for T = 2, and
+    # 1.25^1000 times the 1e300 entries of a kernel on the points 0.5 and -0.5
+    corpus.doc("malformed-brehmer-defect-overflow", ["brehmer"],
+               {"tuple": {"matrices": [[[[2.0, 0.0]]]]}, "preordering": [[1], [1000]]})
+    corpus.doc("malformed-check-kernel-defect-overflow", ["check-kernel"],
+               {"kernel": kernel_to_json(HermitianKernel(PointSample(np.array([[0.5], [-0.5]])),
+                                                         1e300 * np.ones((2, 2)))),
+                "preordering": [[1000]]})
 
 
 def norm_at_c(corpus: Corpus) -> None:
@@ -432,6 +457,7 @@ def main() -> None:
     corpus = Corpus()
     for seed in (101, 102):
         cli_batch(corpus, seed)
+    witness_outranks(corpus)
     grid(corpus)
     eval_edges(corpus)
     aux(corpus)

@@ -71,3 +71,37 @@ def polar_isometry(M: np.ndarray) -> np.ndarray:
     """Closest matrix with orthonormal columns (polar factor)."""
     U, _, Vh = np.linalg.svd(M, full_matrices=False)
     return U @ Vh
+
+
+# the least singular value that unitary_completion accepts on the complements:
+# the polar factor moves by about (rounding in V and W) / sigma_k, so at this
+# floor a perturbation of 1e-16 moves the completion by about 1e-10
+COMPLETION_FLOOR = 1e-6
+
+
+def unitary_completion(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The unitary that is W V^* on ran(V) and the polar factor of Q P on
+    ran(V)^perp, for n x r matrices V and W with orthonormal columns,
+    P = 1 - V V^*, Q = 1 - W W^* and k = n - r.
+
+    Q P maps ran(P) into ran(Q); when its k-th singular value is positive its
+    top k singular triplets span both, and their polar factor is the unique
+    partial isometry of its polar decomposition.  So the completion depends only
+    on W V^* and the two ranges, not on the bases of ran(P) and ran(Q) that a
+    decomposition happens to return.  Its right factor is projected by P once
+    more: rounding in the SVD leaves it a part of size eps / sigma_k on ran(V),
+    which would move the images of V.  Raises ArithmeticError when sigma_k(Q P)
+    is below COMPLETION_FLOOR, where that polar factor is ill-determined.
+    """
+    n, r = V.shape
+    k = n - r
+    U = W @ V.conj().T
+    if k == 0:
+        return U
+    eye = np.eye(n)
+    P = eye - V @ V.conj().T
+    L, s, Rh = np.linalg.svd((eye - W @ W.conj().T) @ P)
+    if not s[k - 1] >= COMPLETION_FLOOR:
+        raise ArithmeticError(f"unitary completion is ill-determined: the complements "
+                              f"meet at sigma {s[k - 1]:.3e} < {COMPLETION_FLOOR:g}")
+    return U + L[:, :k] @ (Rh[:k] @ P)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import auxfun, kernels, opmodel, pick, realize, serialize
+from . import auxfun, kernels, opmodel, pick, preorder, realize, serialize
 from ._linalg import spectral_norm
 from .serialize import FormatError
 
@@ -94,6 +94,18 @@ def _preordering(doc: dict, d: int):
     return pre
 
 
+def _finite_defects(doc: dict, pre, defect) -> None:
+    """Refuse, by its path, the first maximal element lam of the document's
+    preordering whose defect(lam) has an entry that is not finite."""
+    maxima = preorder.minimal_reduction(pre).elements
+    for i, lam in enumerate(doc["preordering"]):
+        if tuple(lam) in maxima:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(defect(tuple(lam))).all()
+            if not finite:
+                raise FormatError(f"$.preordering[{i}]", "defect is not finite")
+
+
 def _revalidate(sample, preordering, params, cert, cert_R, witness, witness_R) -> None:
     """Refuse to emit a certificate or witness, if given, failing on its target R."""
     if cert is not None and not realize.validate_certificate_target(
@@ -102,6 +114,17 @@ def _revalidate(sample, preordering, params, cert, cert_R, witness, witness_R) -
     if witness is not None and realize.validate_witness_target(
             sample, preordering, witness_R, witness.kernel, params.feas_tol) is None:
         raise ArithmeticError("witness failed re-validation; refusing to emit")
+
+
+def _fitted(error: float, scale: float, params) -> float:
+    """error, the worst miss |a W - b| of a colligation at its nodes, checked
+    before it is emitted: above feas_tol * max(1, scale), with scale the
+    largest |a|, the colligation is refused."""
+    bound = params.feas_tol * max(1.0, scale)
+    if not error <= bound:  # a NaN miss is refused too
+        raise ArithmeticError(f"colligation misses its data by {error:.3e} > {bound:.3e}; "
+                              "refusing to emit")
+    return error
 
 
 def _decided(header: dict, result, sample, preordering, R, params) -> tuple[dict, int]:
@@ -127,6 +150,8 @@ def _tuple_from(doc):
 def cmd_check_kernel(doc, args):
     K = serialize.json_to_kernel(_required(doc, "kernel"), "$.kernel")
     pre = _preordering(doc, K.sample.d)
+    _finite_defects(doc, pre, lambda lam: (
+        kernels.scalar_schur(K, kernels.defect_factor(K.sample, lam)).blocks))
     rep = kernels.is_admissible(K, pre, serialize.json_number(doc, "tol", 1e-10))
     min_eigs = {serialize.lambda_key(lam): v for lam, v in sorted(rep.min_eigs.items())}
     body = {"command": "check-kernel", "admissible": rep.admissible, "min_eigs": min_eigs,
@@ -179,7 +204,8 @@ def cmd_decompose(doc, args):
         col = realize.lurking_isometry(result.certificate, phi, params.feas_tol)
         W = realize.eval_transfer(col, phi.sample.points)
         body["colligation"] = serialize.colligation_to_json(col)
-        body["roundtrip_max_error"] = float(np.abs(c * W - phi.values).max())
+        body["roundtrip_max_error"] = _fitted(float(np.abs(c * W - phi.values).max()),
+                                              abs(c), params)
     return body, code
 
 
@@ -226,6 +252,7 @@ def cmd_norm(doc, args):
 def cmd_brehmer(doc, args):
     T = _tuple_from(doc)
     pre = _preordering(doc, T.d)
+    _finite_defects(doc, pre, lambda lam: opmodel.hereditary_defect(T, lam))
     rep = opmodel.is_brehmer(T, pre, serialize.json_number(doc, "tol", 1e-10))
     return {"command": "brehmer", "is_brehmer": rep.is_brehmer,
             "margins": {serialize.lambda_key(lam): v for lam, v in sorted(rep.margins.items())},
@@ -263,7 +290,8 @@ def cmd_pick(doc, args):
     if result.feasible:
         sol = pick.pick_solve(problem, result.certificate, params.feas_tol)
         body["colligation"] = serialize.colligation_to_json(sol.colligation)
-        body["node_residual"] = sol.node_residual
+        body["node_residual"] = _fitted(sol.node_residual, float(np.abs(problem.a).max()),
+                                        params)
     return body, code
 
 

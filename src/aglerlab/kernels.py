@@ -247,15 +247,17 @@ class KolmogorovFactor:
 
 
 def kolmogorov(K: HermitianKernel, tol: float = DEFAULT_TOL) -> KolmogorovFactor:
-    """Factor a PSD kernel by Hermitian eigendecomposition with clipping at tol*|K|."""
+    """Factor a PSD kernel by Hermitian eigendecomposition: eigenvalues below
+    -10 tol max(|K|, 1) are refused, and those at or below the rounding floor
+    N m eps |K| are dropped, so no genuine eigenvalue is lost."""
     A = hermitize(K.assembled())
     w, V = np.linalg.eigh(A)
     scale = max(np.abs(w).max(), 1e-300)
     if w.min() < -10 * tol * max(scale, 1.0):
         raise ValueError(f"kernel is indefinite beyond tolerance: min eig {w.min():.3e}")
-    keep = w > tol * scale
+    N, m = K.n_points, K.block_dim
+    keep = w > N * m * np.finfo(float).eps * scale
     rank = int(keep.sum())
     G = V[:, keep] * np.sqrt(np.clip(w[keep], 0, None))
-    N, m = K.n_points, K.block_dim
     gammas = G.reshape(N, m, rank)
     return KolmogorovFactor(K.sample, rank, gammas)

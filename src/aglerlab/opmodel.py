@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from ._linalg import hermitize, min_eig, spectral_norm
-from .preorder import MultiIndex, Preordering, minimal_reduction, predecessors, weight
+from .preorder import MultiIndex, Preordering, minimal_reduction
 from .realize import Colligation
 
 COMMUTE_TOL = 1e-12
@@ -76,16 +75,17 @@ def hereditary_defect(T: CommutingTuple, lam: MultiIndex) -> np.ndarray:
     """prod_j (1 - T_j T_j^*)^{lam_j} expanded hereditarily.
 
     Equals sum over lam' <= lam of (-1)^{|lam'|} prod_j C(lam_j, lam'_j)
-    T^{lam'} (T^{lam'})^*.
+    T^{lam'} (T^{lam'})^*, computed as X <- X - T_j X T_j^* applied lam_j
+    times per coordinate to X = 1: the maps commute because the T_j do, and
+    the cost is |lam| products, not one term per predecessor of lam.
     """
-    out = np.zeros((T.q, T.q), dtype=complex)
-    for sub in predecessors(lam):
-        w = 1
-        for a, b in zip(lam, sub):
-            w *= comb(a, b)
-        P = T.power(sub)
-        out += ((-1) ** weight(sub)) * w * (P @ P.conj().T)
-    return hermitize(out)
+    if len(lam) != T.d:
+        raise ValueError(f"multi-index dimension {len(lam)} != tuple dimension {T.d}")
+    X = np.eye(T.q, dtype=complex)
+    for M, e in zip(T.matrices, lam):
+        for _ in range(e):
+            X = X - M @ X @ M.conj().T
+    return hermitize(X)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (DEFAULT_TOL, block_diag, clip_eig, hermitian_sqrt, hermitize,
-                      polar_isometry, psd_clip, spectral_norm)
+                      polar_isometry, psd_clip, spectral_norm, unitary_completion)
 from .auxfun import monomial_rows, psi_rows, row_sqnorms
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                       kolmogorov, psd_check, szego_factor)
@@ -451,7 +451,9 @@ def _solve_target(sample: PointSample, preordering: Preordering, R_blocks: np.nd
     """Decide R = sum_lam D_lam o Gamma_lam from one interior-point solve.
 
     Returns as soon as a validated certificate (s* <= 0) or witness (s* > 0)
-    decides the sign of s*.
+    decides the sign of s*.  When the bounds cross, hi <= 0 < lo, the witness
+    is tried first: it separates strictly, while the certificate holds only
+    within feas_tol.
     """
     ws = _Workspace(sample, _decomposition_lambdas(preordering), R_blocks, params.feas_tol)
 
@@ -467,7 +469,7 @@ def _solve_target(sample: PointSample, preordering: Preordering, R_blocks: np.nd
         return DecomposeResult("infeasible", None, wit, max(hi[0], 0.0), steps) if wit else None
 
     for steps, hi, lo in _interior_point(ws, params):
-        done = (hi[0] <= 0 and certified(hi, steps)) or (lo[0] > 0 and separated(hi, lo, steps))
+        done = (lo[0] > 0 and separated(hi, lo, steps)) or (hi[0] <= 0 and certified(hi, steps))
         if done:
             return done
     # the loop tried the final bounds; only a certificate at hi > 0 is left untried
@@ -525,12 +527,20 @@ def _szego_certificate(sample: PointSample, lams: list[MultiIndex], lam: MultiIn
 
 def _ample_shortcut(sample: PointSample, preordering: Preordering, R_blocks: np.ndarray,
                     c: float, params: SolverParams) -> DecomposeResult:
-    """For ample preorderings the affine set is a point: Gamma = R * k_s."""
+    """For ample preorderings the affine set is a point: Gamma = R * k_s.
+    A negative least eigenvalue first tries the witness from its eigenvector."""
     lam_m = classify(preordering).lambda_max
     A = _szego_gamma(sample, R_blocks, lam_m)
     w, V = np.linalg.eigh(A)
     scale = max(np.abs(w).max(), 1.0)
-    if w.min() >= -params.feas_tol * scale:
+    if w[0] < 0:
+        # a witness that validates separates strictly: it outranks a
+        # certificate that would hold only within feas_tol
+        kern = _szego_witness(sample, lam_m, V[:, 0])
+        witness = validate_witness_target(sample, preordering, R_blocks, kern, params.feas_tol)
+        if witness is not None:
+            return DecomposeResult("infeasible", None, witness, float(-w[0]), 0)
+    if w[0] >= -params.feas_tol * scale:
         # psd_clip(A) from this eigendecomposition: A comes out of hermitize,
         # so hermitize(A) is A and psd_clip would eigen-solve the same matrix
         cert = _szego_certificate(sample, [lam_m], lam_m, clip_eig(w, V), c)
@@ -539,12 +549,7 @@ def _ample_shortcut(sample: PointSample, preordering: Preordering, R_blocks: np.
         if ok:
             return DecomposeResult("feasible", cert, None, resid, 0)
         return DecomposeResult("unresolved", None, None, resid, 0)
-    # separating kernel from the violated direction
-    kern = _szego_witness(sample, lam_m, V[:, 0])
-    witness = validate_witness_target(sample, preordering, R_blocks, kern, params.feas_tol)
-    if witness is None:
-        return DecomposeResult("unresolved", None, None, float(-w.min()), 0)
-    return DecomposeResult("infeasible", None, witness, float(-w.min()), 0)
+    return DecomposeResult("unresolved", None, None, float(-w[0]), 0)
 
 
 def decide_target(sample: PointSample, preordering: Preordering, R_blocks: np.ndarray,
@@ -736,14 +741,17 @@ def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,
     divided by c, the vector families built on (gamma (x) psi^-, a^*) and
     (gamma (x) psi^+, b^*) have equal Gram matrices, which is checked; the
     partial isometry between them is completed to a unitary on state (+) C^p
-    by pairing orthonormal bases of the complements in SVD order.  Its
-    transfer function is the p x p contractive multiplier W.
+    by unitary_completion, which depends only on the two ranges.  Each
+    Gamma_lam is factored down to the rounding floor N m eps lambda_max: a
+    cut at DEFAULT_TOL drops genuine eigenvalues, and the isometry amplifies
+    what they miss.  The transfer function is the p x p contractive
+    multiplier W.
     """
     N, m, p = a.shape
     lams = cert.lambdas()
     gammas, mults, ns = {}, {}, {}
     for lam in lams:
-        fac = kolmogorov(cert.gammas[lam], DEFAULT_TOL)
+        fac = kolmogorov(cert.gammas[lam])
         gammas[lam] = fac.gammas / c  # (N, m, r)
         mults[lam] = fac.rank
         ns[lam] = 2 ** (weight(lam) - 1)
@@ -773,16 +781,11 @@ def lurking_colligation(sample: PointSample, a: np.ndarray, b: np.ndarray,
     if gram_err > 100 * feas_tol * scale:
         raise ValueError(f"certificate rejected: Gram mismatch {gram_err:.3e}")
 
-    U_, s_, Vh_ = np.linalg.svd(M_minus)
+    U_, s_, Vh_ = np.linalg.svd(M_minus, full_matrices=False)
     rank = int((s_ > DEFAULT_TOL * max(s_.max(initial=0.0), 1e-300)).sum())
-    Um, Um_perp = U_[:, :rank], U_[:, rank:]
-    pinv = Vh_[:rank].conj().T @ np.diag(1 / s_[:rank]) @ Um.conj().T
-    images = polar_isometry(M_plus @ pinv @ Um)
-    comp = np.eye(E + p) - images @ images.conj().T
-    Uc, _, _ = np.linalg.svd(comp)
-    images_perp = Uc[:, :E + p - rank]
-    U_hat = np.hstack([images, images_perp]) @ np.hstack([Um, Um_perp]).conj().T
-    U = U_hat.conj().T
+    Um = U_[:, :rank]
+    images = polar_isometry(M_plus @ Vh_[:rank].conj().T / s_[:rank])
+    U = unitary_completion(Um, images).conj().T
 
     partition = tuple((lam, mults[lam]) for lam in lams if mults[lam])
     return Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
@@ -793,7 +796,7 @@ def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
     """Colligation whose transfer function is phi / c, from a decomposition
     certificate at c: the Pick construction with a = 1 and b = phi / c."""
     # c^2 - phi phi^* = sum D o Gamma is 1 - (phi/c)(phi/c)^* = sum D o (Gamma/c^2)
-    c = cert.c if cert.c != 0 and abs(cert.c - 1.0) > 1e-12 else 1.0
+    c = cert.c or 1.0
     identity = np.tile(np.eye(phi.m_out), (phi.sample.n_points, 1, 1))
     return lurking_colligation(phi.sample, identity, phi.values / c, cert, feas_tol, c)
 

@@ -238,6 +238,11 @@ def preordering_to_json(p: Preordering):
     return [list(lam) for lam in p.sorted()]
 
 
+# |1 - x conj(y)| < 2 on the polydisk, so every defect factor of an element of
+# total degree at most this stays below 2^1023, inside the double range
+MAX_DEGREE = 1023
+
+
 def json_to_preordering(doc, path: str = "$.preordering") -> Preordering:
     if not isinstance(doc, list) or not all(isinstance(l, list) for l in doc):
         raise FormatError(path, "preordering must be an array of integer arrays")
@@ -247,9 +252,13 @@ def json_to_preordering(doc, path: str = "$.preordering") -> Preordering:
             if abs(v) >= 2 ** 63:  # range() and numpy take nothing larger
                 raise FormatError(f"{path}[{i}][{j}]", "must be an integer that fits 64 bits")
     try:
-        return Preordering([tuple(lam) for lam in doc])
+        pre = Preordering([tuple(lam) for lam in doc])
     except (TypeError, ValueError) as exc:
         raise FormatError(path, str(exc)) from None
+    for i, lam in enumerate(doc):
+        if sum(lam) > MAX_DEGREE:
+            raise FormatError(f"{path}[{i}]", f"total degree must be at most {MAX_DEGREE}")
+    return pre
 
 
 def lambda_key(lam) -> str:

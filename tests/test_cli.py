@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from aglerlab.cli import main
 from aglerlab.preorder import classical
-from aglerlab.realize import Colligation, FunctionSample, validate_witness
+from aglerlab.realize import Colligation, FunctionSample, eval_transfer, validate_witness
 from aglerlab.sampling import (random_classical_colligation, random_points,
                                random_transfer_sample, random_unitary)
 from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
-                                json_to_kernel, kernel_to_json, points_to_json)
+                                json_to_colligation, json_to_kernel, kernel_to_json,
+                                points_to_json)
 from aglerlab.kernels import HermitianKernel, PointSample, ones_kernel, szego_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -330,6 +331,29 @@ print(repr(seen[0]) if seen else "numpy was not imported")
     assert proc.stdout.strip() == "'1'"
 
 
+def test_realize_is_the_same_under_one_and_two_threads(tmp_path):
+    # the unitary completion reads no basis that the BLAS code path picks, so
+    # W off the nodes does not follow the thread count (2.3e-2 apart when the
+    # complements' SVD bases were paired)
+    phi, _ = random_transfer_sample(np.random.default_rng([32, 2]), 32, 2, 2)
+    inp = tmp_path / "in.json"
+    inp.write_text(dumps({**function_sample_to_json(FunctionSample(phi.sample, 0.9 * phi.values)),
+                          "preordering": [[1, 1]]}))
+    held_out = random_points(np.random.default_rng([32, 3]), 16, 2).points
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    values = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["AGLER_LAB_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "aglerlab.cli", "realize", "--input",
+                               str(inp)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        col = json_to_colligation(json.loads(proc.stdout)["colligation"])
+        values.append(eval_transfer(col, held_out))
+    assert np.abs(values[0] - values[1]).max() <= 1e-10
+
+
 def test_aux_verify_mode(tmp_path):
     rng = np.random.default_rng(9)
     s = random_points(rng, 3, 2)
@@ -551,6 +575,23 @@ _HUGE_INT = "1" + "0" * 400  # a JSON integer that no float holds
     pytest.param("norm", [], {"preordering": [[1, 0], [0, 12345.5]]}, "-" + _HUGE_INT,
                  "$.preordering[1][1]: must be an integer that fits 64 bits",
                  id="norm-preordering-minus-huge-int"),
+    # an element of total degree past 1023 is refused when it is read, and an
+    # element whose defect overflows is refused by its index
+    pytest.param("brehmer", [], {"name": "kv", "preordering": [[1, 0, 0], [0, 12345.5, 0],
+                                                               [0, 0, 1]]}, "100000",
+                 "$.preordering[1]: total degree must be at most 1023",
+                 id="brehmer-preordering-degree"),
+    pytest.param("check-kernel", [], {"kernel": kernel_to_json(szego_kernel(
+        PointSample(np.array([[0.5], [-0.5]])), (1,))), "preordering": [[12345.5]]}, "100000",
+                 "$.preordering[0]: total degree must be at most 1023",
+                 id="check-kernel-preordering-degree"),
+    pytest.param("brehmer", [], {"tuple": {"matrices": [[[[2.0, 0.0]]]]},
+                                 "preordering": [[1], [1000]]}, None,
+                 "$.preordering[1]: defect is not finite", id="brehmer-defect-overflow"),
+    pytest.param("check-kernel", [], {"kernel": kernel_to_json(HermitianKernel(
+        PointSample(np.array([[0.5], [-0.5]])), 1e300 * np.ones((2, 2)))),
+        "preordering": [[1000]]}, None,
+                 "$.preordering[0]: defect is not finite", id="check-kernel-defect-overflow"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):
@@ -633,6 +674,44 @@ def _valid_documents() -> dict:
 
 
 _VALID = _valid_documents()
+
+
+@pytest.mark.parametrize("command", ["realize", "pick"])
+def test_colligation_that_misses_its_data_is_refused(command, tmp_path, capsys, monkeypatch):
+    # the phase exp(1e-6 i) on the output row keeps U unitary and moves W by
+    # about 1e-6 |W|, a hundred times the bound feas_tol * max(1, |a|)
+    from aglerlab import pick, realize
+    module, name = ((realize, "lurking_isometry") if command == "realize"
+                    else (pick, "lurking_colligation"))
+    build = getattr(module, name)
+
+    def rotated(*args):
+        col = build(*args)
+        u = np.exp(1e-6j)
+        return Colligation(col.A, col.B, u * col.C, u * col.D, col.partition)
+
+    assert run_cli([command], tmp_path, _VALID[command])[0] == 0
+    (tmp_path / "out.json").unlink()
+    monkeypatch.setattr(module, name, rotated)
+    assert run_cli([command], tmp_path, _VALID[command]) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: colligation misses its data by ")
+    assert err.endswith(" > 1.000e-08; refusing to emit\n")
+
+
+def test_emit_bound_follows_feas_tol(tmp_path, capsys):
+    # the round trip here is 1.4e-13: emitted at the default feas_tol, refused at
+    # 2e-14, which still decides the document (5e-15 does; 2e-15 leaves it unresolved)
+    phi, _ = random_transfer_sample(np.random.default_rng([32, 2]), 32, 2, 2)
+    doc = {**function_sample_to_json(FunctionSample(phi.sample, 0.9 * phi.values)),
+           "preordering": [[1, 1]]}
+    code, report = run_cli(["realize"], tmp_path, doc)
+    assert code == 0 and report["roundtrip_max_error"] < 1e-12
+    (tmp_path / "out.json").unlink()
+    assert run_cli(["realize"], tmp_path, {**doc, "solver": {"feas_tol": 2e-14}}) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: colligation misses its data by ")
+    assert err.endswith(" > 2.000e-14; refusing to emit\n")
 
 
 @pytest.mark.parametrize("command", sorted(_VALID))

@@ -1,9 +1,10 @@
 """Dense helpers: one Hermitian part and one spectral norm, each for a matrix
-and for a stack of matrices."""
+and for a stack of matrices, and the unitary completion of a partial isometry."""
 import numpy as np
 import pytest
 
-from aglerlab._linalg import hermitize, spectral_norm
+from aglerlab._linalg import hermitize, spectral_norm, unitary_completion
+from aglerlab.sampling import random_unitary
 
 
 def complex_stack(rng, shape):
@@ -37,3 +38,23 @@ def test_spectral_norm_of_empty_matrices_is_zero():
     assert spectral_norm(np.zeros((2, 0))) == 0.0
     assert spectral_norm(np.zeros((3, 2, 0))).tolist() == [0.0, 0.0, 0.0]
     assert spectral_norm(np.zeros((0, 2, 2))).tolist() == []
+
+
+@pytest.mark.parametrize("n, r", [(6, 2), (9, 5), (12, 11), (4, 4), (5, 1)])
+def test_unitary_completion_depends_only_on_the_ranges(n, r):
+    # V -> V Q and W -> W Q leave W V^* and both ranges alone, so the
+    # completion stays; pairing SVD bases of the complements does not
+    rng = np.random.default_rng([n, r])
+    V, W = random_unitary(rng, n)[:, :r], random_unitary(rng, n)[:, :r]
+    Q = random_unitary(rng, r)
+    U = unitary_completion(V, W)
+    assert np.abs(U.conj().T @ U - np.eye(n)).max() <= 1e-12
+    assert np.abs(U @ V - W).max() <= 1e-12
+    assert np.abs(unitary_completion(V @ Q, W @ Q) - U).max() <= 1e-12
+
+
+def test_unitary_completion_refuses_complements_that_meet():
+    # ran(W) = span(e_2) lies in ran(V)^perp, so Q P = e_3 e_3^* has rank 1 < k = 2
+    V, W = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
+    with pytest.raises(ArithmeticError, match="complements meet at sigma 0.000e"):
+        unitary_completion(V, W)

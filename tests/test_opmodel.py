@@ -1,4 +1,7 @@
 """Commuting tuples, hereditary calculus, boundary examples, von Neumann."""
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +55,19 @@ def hereditary_product_oracle(T, lam):
                 M = M @ T.matrices[j]
         out += (-1) ** sum(picks) * M @ M.conj().T
     return out
+
+
+def ref_hereditary_defect_binomial(T: CommutingTuple, lam) -> np.ndarray:
+    """The binomial sum over lam' <= lam of (-1)^{|lam'|} prod_j C(lam_j, lam'_j)
+    T^{lam'} (T^{lam'})^*, one term per predecessor of lam."""
+    out = np.zeros((T.q, T.q), dtype=complex)
+    for sub in predecessors(lam):
+        w = 1
+        for a, b in zip(lam, sub):
+            w *= comb(a, b)
+        P = T.power(sub)
+        out += ((-1) ** weight(sub)) * w * (P @ P.conj().T)
+    return hermitize(out)
 
 
 class TestCommutingTuple:
@@ -109,6 +125,18 @@ class TestHereditaryDefect:
             T = CommutingTuple([z[0].reshape(1, 1), z[1].reshape(1, 1)])
             expected = np.prod((1 - np.abs(z) ** 2) ** np.array(lam))
             assert hereditary_defect(T, lam)[0, 0] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("name", ["kv", "parrott", "gkvw", "0.9 kv"])
+    def test_matches_binomial_sum(self, name):
+        T = kv_tuple().scaled(0.9) if name == "0.9 kv" else builtin_tuple(name)
+        for lam in itertools.product(range(4), range(3), range(2)):
+            ref = ref_hereditary_defect_binomial(T, lam)
+            assert np.abs(hereditary_defect(T, lam) - ref).max() <= 1e-12
+
+    def test_large_degree_is_the_scalar_power(self):
+        # |lam| products, where the binomial sum cancels terms of up to 1e306
+        T = CommutingTuple([np.array([[0.5]])])
+        assert hereditary_defect(T, (1023,))[0, 0] == pytest.approx(0.75 ** 1023, rel=1e-12)
 
     def test_multiplicity_weights(self):
         # binomial weights: d=1, lam=(2) gives 1 - 2 TT* + T^2 T*^2

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aglerlab._linalg import DEFAULT_TOL, polar_isometry, psd_clip
+from aglerlab._linalg import DEFAULT_TOL, polar_isometry, psd_clip, unitary_completion
 from aglerlab.kernels import (HermitianKernel, PointSample, defect_factor, kolmogorov,
                               ones_kernel, psd_check)
 from aglerlab.opmodel import kv_polynomial
@@ -137,6 +137,18 @@ class TestDecompose:
         out = agler_decompose(phi, pre, 0.97, SolverParams(max_iter=30_000, stall_rtol=1e-9))
         assert out.status == "infeasible"
         assert validate_witness(phi, pre, 0.97, out.witness.kernel, 1e-8) is not None
+
+    def test_ample_witness_outranks_a_certificate_within_tolerance(self):
+        # cli-batch seed 1909, op 12: the Szego Gamma's least eigenvalue, -2.2e-8,
+        # is within feas_tol * scale, yet the witness from its eigenvector
+        # separates beyond the witness validator's tolerance
+        rng = RNG(1909)
+        for N, m in ((16, 1), (16, 2), (32, 1)):
+            phi, _ = random_transfer_sample(rng, N, 2, m)
+        c = float.fromhex("0x1.fe038981a87fcp-1")
+        out = agler_decompose(phi, standard_ample(2), c)
+        assert out.status == "infeasible"
+        assert validate_witness(phi, standard_ample(2), c, out.witness.kernel, 1e-8) is not None
 
     def test_size_limit_named(self):
         # the interior-point Newton system is dense in (N*m)^2 unknowns
@@ -502,7 +514,7 @@ def ref_lurking_colligation(sample, a, b, cert, feas_tol=1e-8, c=1.0):
     lams = cert.lambdas()
     gammas, mults, ns = {}, {}, {}
     for lam in lams:
-        fac = kolmogorov(cert.gammas[lam], DEFAULT_TOL)
+        fac = kolmogorov(cert.gammas[lam])
         gammas[lam] = fac.gammas / c
         mults[lam] = fac.rank
         ns[lam] = 2 ** (weight(lam) - 1)
@@ -526,15 +538,11 @@ def ref_lurking_colligation(sample, a, b, cert, feas_tol=1e-8, c=1.0):
     scale = max(np.abs(M_minus).max() ** 2, 1.0)
     if gram_err > 100 * feas_tol * scale:
         raise ValueError(f"certificate rejected: Gram mismatch {gram_err:.3e}")
-    U_, s_, Vh_ = np.linalg.svd(M_minus)
+    U_, s_, Vh_ = np.linalg.svd(M_minus, full_matrices=False)
     rank = int((s_ > DEFAULT_TOL * max(s_.max(initial=0.0), 1e-300)).sum())
-    Um, Um_perp = U_[:, :rank], U_[:, rank:]
-    pinv = Vh_[:rank].conj().T @ np.diag(1 / s_[:rank]) @ Um.conj().T
-    images = polar_isometry(M_plus @ pinv @ Um)
-    comp = np.eye(E + p) - images @ images.conj().T
-    Uc, _, _ = np.linalg.svd(comp)
-    images_perp = Uc[:, :E + p - rank]
-    U = (np.hstack([images, images_perp]) @ np.hstack([Um, Um_perp]).conj().T).conj().T
+    Um = U_[:, :rank]
+    images = polar_isometry(M_plus @ Vh_[:rank].conj().T / s_[:rank])
+    U = unitary_completion(Um, images).conj().T
     partition = tuple((lam, mults[lam]) for lam in lams if mults[lam])
     return Colligation(U[:E, :E], U[:E, E:], U[E:, :E], U[E:, E:], partition)
 
@@ -618,7 +626,9 @@ def test_eval_transfer_matches_reference_on_an_ample_realization():
     phi, _ = random_transfer_sample(RNG(64), 64, 2, 2)
     phi = FunctionSample(phi.sample, 0.9 * phi.values)
     col = lurking_isometry(agler_decompose(phi, standard_ample(2), 1.0).certificate, phi)
-    assert col.partition == (((1, 1), 126),)  # E = 252, r = 126: several blocks of points
+    assert col.partition == (((1, 1), 128),)  # E = 256, r = 128: several blocks of points
+    # Gamma is cut at the rounding floor, so its eigenvalues near 1e-10 max stay
+    assert np.abs(eval_transfer(col, phi.sample.points) - phi.values).max() <= 1e-10
     _assert_matches_reference(col, phi.sample.points)
 
 
