@@ -16,9 +16,14 @@ verdict (`ok`, or `fail` when the bracket or one of its ends fails the gate)
 and the Newton steps the op took.  The steps are counted by wrapping
 `realize._newton_step` in this process, so a diff of two trees shows a change
 of solver path next to the brackets it gives.  Then come the total of the
-steps and the sha256 of the op lines.
+steps, `bounds UPPER LOWER` and the sha256 of the op lines.  UPPER and LOWER
+count the bounds that the solver built over all ops, by wrapping
+`realize._Workspace.upper` and `lower` the same way.  They sit outside the
+sha256, so two trees that build their bounds differently but give the same
+answers print the same op lines and hash.
 """
 import argparse
+import collections
 import hashlib
 import importlib.util
 import sys
@@ -56,29 +61,36 @@ def main() -> None:
     load_perfbench("env").pin_threads()  # before workloads.py imports numpy
     workload = load_perfbench("workloads").NormBracket()
     from aglerlab import realize
-    steps, newton_step = [0], realize._newton_step
+    counts = collections.Counter()
 
-    def counted(*args):
-        steps[0] += 1
-        return newton_step(*args)
+    def count(owner, name, key):
+        fn = getattr(owner, name)
 
-    realize._newton_step = counted
-    digest, total = hashlib.sha256(), 0
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        setattr(owner, name, counted)
+
+    count(realize, "_newton_step", "steps")
+    count(realize._Workspace, "upper", "upper")
+    count(realize._Workspace, "lower", "lower")
+    digest, totals = hashlib.sha256(), collections.Counter()
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
             ops = workload.setup(seed, Path(workdir))
         for op in ops:
-            steps[0] = 0
+            counts.clear()
             res = workload.run(op)
             gate = "fail" if workload.check(op, res).error else "ok"
             line = (f"{seed} {op.index} {res.c_lo.hex()} {res.c_hi.hex()} {res.resolved} "
-                    f"{res.evaluations} {gate} {steps[0]}")
-            total += steps[0]
+                    f"{res.evaluations} {gate} {counts['steps']}")
+            totals.update(counts)
             digest.update(f"{line}\n".encode())
             print(line, flush=True)
-    print(f"steps {total}")
+    print(f"steps {totals['steps']}")
+    print(f"bounds {totals['upper']} {totals['lower']}")
     print(f"sha256 {digest.hexdigest()}")
-
 
 if __name__ == "__main__":
     main()

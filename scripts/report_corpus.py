@@ -39,8 +39,10 @@ script runs against any tree.  The corpus:
   an integer of 401 digits in a preordering, preordering elements of total
   degree 10^5 and elements whose defect overflows, a string contractive flag on a
   colligation, colligation partitions whose multi-indices differ in length
-  or whose multiplicities are negative, a colligation of finite entries
-  whose U*U overflows, points of dimension 0, and a 1 x 2-valued phi through
+  or whose multiplicities are negative, colligations of finite entries
+  whose U*U, or only the norm of U*U - 1, overflows, phi, c and Pick data a
+  of 1e308, whose terms of the solver's target overflow, points of
+  dimension 0, and a 1 x 2-valued phi through
   norm, alone, with c and identically zero;
 - command lines that argparse refuses: the removed flags --feas-tol,
   --max-iter and --seed, an unknown command and an unknown flag;
@@ -250,6 +252,15 @@ def malformed(corpus: Corpus) -> None:
                {"kernel": kernel_to_json(HermitianKernel(PointSample(np.array([[0.5], [-0.5]])),
                                                          1e300 * np.ones((2, 2)))),
                 "preordering": [[1000]]})
+    # a finite field whose term of the solver's target overflows is refused
+    # with its path before the solve
+    big = json.loads(dumps(base["phi"]))
+    big[0][0][0][0] = 1e308
+    for command in ("decompose", "realize", "norm"):
+        corpus.doc(f"malformed-{command}-phi-overflow", [command], {**base, "phi": big})
+    corpus.doc("malformed-norm-c-overflow", ["norm"], {**base, "c": 1e308})
+    corpus.doc("malformed-pick-a-overflow", ["pick"],
+               {"points": base["points"], "a": big, "b": base["phi"], "preordering": [[1, 1]]})
 
 
 def norm_at_c(corpus: Corpus) -> None:
@@ -420,6 +431,11 @@ def malformed_inputs(corpus: Corpus) -> None:
     big = [[[1e200, 0.0]]]
     corpus.doc("bad-eval-colligation-overflow", ["eval"],
                {"colligation": {"A": big, "B": big, "C": big, "D": [[[-1e200, 0.0]]],
+                                "partition": [{"lambda": [1], "mult": 1}]},
+                "points": [[[0.1, 0.0]]]})
+    half = [[[0.5, 0.0]]]
+    corpus.doc("bad-eval-colligation-norm-overflow", ["eval"],
+               {"colligation": {"A": [[[1e308, 0.0]]], "B": half, "C": half, "D": half,
                                 "partition": [{"lambda": [1], "mult": 1}]},
                 "points": [[[0.1, 0.0]]]})
     for command in ("decompose", "aux"):

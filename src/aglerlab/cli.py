@@ -106,6 +106,15 @@ def _finite_defects(doc: dict, pre, defect) -> None:
                 raise FormatError(f"$.preordering[{i}]", "defect is not finite")
 
 
+def _finite_target(path: str, term) -> None:
+    """Refuse, by its path, a field whose term() of the solver's target
+    overflows: the solve would run on inf and NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(term()).all()
+    if not finite:
+        raise FormatError(path, "too large: the solver's target overflows")
+
+
 def _revalidate(sample, preordering, params, cert, cert_R, witness, witness_R) -> None:
     """Refuse to emit a certificate or witness, if given, failing on its target R."""
     if cert is not None and not realize.validate_certificate_target(
@@ -195,6 +204,8 @@ def cmd_decompose(doc, args):
     phi = serialize.json_to_function_sample(doc, "$")
     pre = _preordering(doc, phi.sample.d)
     c = serialize.json_number(doc, "c", 1.0)
+    _finite_target("$.phi", lambda: realize.target_blocks(phi, 0.0))
+    _finite_target("$.c", lambda: c * c)
     params = serialize.solver_params_from_json(doc.get("solver"))
     result = realize.agler_decompose(phi, pre, c, params)
     body, code = _decided({"command": args.command, "c": c,
@@ -225,6 +236,9 @@ def cmd_norm(doc, args):
     params = serialize.solver_params_from_json(doc.get("solver"))
     tol = serialize.json_number(doc, "tol", 1e-6)
     c = serialize.json_number(doc, "c", None)
+    _finite_target("$.phi", lambda: realize.target_blocks(phi, 0.0))
+    if c is not None:
+        _finite_target("$.c", lambda: c * c)
     result = realize.schur_agler_norm(phi, pre, tol, params)
     # each end on its own target; c_hi is inf when there is no certificate
     cert_R = None if result.certificate is None else realize.target_blocks(phi, result.c_hi)
@@ -282,6 +296,8 @@ def cmd_pick(doc, args):
                                           f"got shape {data.shape}")
     pre = _preordering(doc, nodes.d)
     problem = pick.PickProblem(nodes, a, b, pre)
+    _finite_target("$.a", lambda: realize.pick_target(problem.a, np.zeros_like(problem.a)))
+    _finite_target("$.b", problem.target_blocks)
     params = serialize.solver_params_from_json(doc.get("solver"))
     result = pick.pick_feasible(problem, params)
     body, code = _decided({"command": "pick",

@@ -207,6 +207,7 @@ _GAP_TOL = 1e-9  # relative duality gap and primal residual that end a solve
 _STEP_FLOOR = 1e-6  # a step whose primal and dual lengths both fall below this ends it
 _STEP_DAMPING = 0.95
 _START_SHRINK = 0.1  # X starts at this share of scale * I, nearer its low-rank answer
+_PENDING_CAP = 32  # iterates whose bounds wait unbuilt at once: it bounds memory only
 
 
 def _inner(A: np.ndarray, B: np.ndarray) -> float:
@@ -229,18 +230,25 @@ class _Workspace:
             raise ValueError(f"interior-point solver takes N*m <= {MAX_INTERIOR_DIM} "
                              f"(MAX_INTERIOR_DIM); got N*m = {n}")
         self.sample, self.lams, self.n, self.feas_tol = sample, lams, n, feas_tol
-        ones, eye = np.ones((m, m)), np.eye(m)
-        self.D = np.array([np.kron(defect_factor(sample, lam), ones) for lam in lams])
+        # D_lam (x) 1_m, S_lam (x) I_m and J = 1_N (x) I_m by copying entries,
+        # never multiplying by 1.0 or 0.0, which can flip the sign of a zero
+        D = np.array([defect_factor(sample, lam) for lam in lams])
+        self.D = np.repeat(np.repeat(D, m, axis=1), m, axis=2)
         self.Dc = self.D.conj()
         self.wsum = (np.abs(self.D) ** 2).sum(axis=0)
         self.diag_min = np.real(np.diagonal(self.D, axis1=1, axis2=2)).min(axis=1)
-        self.S = np.array([np.kron(szego_factor(sample, lam), eye) for lam in lams])
+        Sz = np.array([szego_factor(sample, lam) for lam in lams])
+        S = np.zeros((len(lams), N, m, N, m), dtype=complex)
+        for i in range(m):
+            S[:, :, i, :, i] = Sz
+        self.S = S.reshape(-1, n, n)
         # pseudo-inverse roots: one-variable Szego matrices are numerically
         # singular from a dozen points on
         self.S_isqrt = np.array([hermitian_sqrt(S)[1] for S in self.S])
-        self.J = np.kron(np.ones((N, N)), eye)
+        self.J = np.tile(np.eye(m), (N, N))
         self.R = HermitianKernel(sample, R_blocks).assembled()
         self.scale = float(np.abs(self.R).max()) or 1.0
+        self._diag_mean = -float(np.trace(self.R).real) / n  # -tr R / tr J
         # s J + R needs PSD diagonal blocks, so s* is at least this
         diag_blocks = R_blocks[np.arange(N), np.arange(N)]
         self.s_floor = float(-np.linalg.eigvalsh(hermitize(diag_blocks)).min())
@@ -339,6 +347,26 @@ class _Workspace:
         W = W / mass
         return -_inner(self.R, W) - self.feas_tol * float(np.abs(W).max()), W
 
+    def lower_ceiling(self, W: np.ndarray) -> float:
+        """A float never below lower(W)[0], from two inner products.
+
+        With a = -<R, W>, c = <J, W>, b = -tr R and n = tr J = N m, lower's
+        value before its -feas_tol term is (a + delta b) / (c + delta n) for
+        its shift delta >= 0: a mediant, between a/c and b/n when c > 0, so
+        Lc = max(a/c, b/n) bounds it in exact arithmetic.  In floating point,
+        each of lower's sums of n^2 terms (<R, W>, the mass <J, W'> and
+        <R, W' / mass>, with W' = W + delta I) and the rounding of the
+        diagonal of W' move its value by at most n^4 u (scale + |Lc|) rho,
+        where rho = max|W'| / <J, W'> <= max|W| / c + 1/n.  The margin
+        4 n^4 eps (scale + |Lc|) (max|W| / c + 1), eps = 2u, covers them all.
+        """
+        c = _inner(self.J, W)
+        if not c > 0:
+            return np.inf
+        Lc = max(-_inner(self.R, W) / c, self._diag_mean)
+        rho = float(np.abs(W).max()) / c + 1
+        return Lc + 4 * self.n ** 4 * np.finfo(float).eps * (self.scale + abs(Lc)) * rho
+
     def witness_kernel(self, lower: tuple) -> HermitianKernel:
         return HermitianKernel.from_assembled(self.sample, lower[1].conj())
 
@@ -402,7 +430,7 @@ def _newton_step(ws: _Workspace, X, t, W, Z, z, rp):
     return X + ap * dX, t + ap * dt, W + ad * dW, Z + ad * dZ, z + ad * dz, ap, ad
 
 
-def _interior_point(ws: _Workspace, params: SolverParams):
+def _interior_point(ws: _Workspace, params: SolverParams, wanted=None):
     """Primal-dual path following; yields (steps, best upper, best lower).
 
     The solve starts at X_lam = _START_SHRINK * scale * I for every lam, with
@@ -415,10 +443,27 @@ def _interior_point(ws: _Workspace, params: SolverParams):
     steps.  The smaller start takes about a quarter fewer.
 
     The best bounds are kept because the Newton system degrades near the
-    optimum.  The solve reads only its own iterates to stop: at a relative
-    duality gap and primal residual below _GAP_TOL, after a step whose
-    primal and dual lengths both fell below _STEP_FLOOR, after max_iter
-    Newton steps, or on a breakdown of the Newton system.
+    optimum: the first least upper value and the first greatest lower value.
+    Building an iterate's bounds takes eigenvalues of every block, so they
+    are built only when a caller could act on them.  wanted(hi, lo), given by
+    the caller, holds of every pair of bound values on which it would act,
+    and must be monotone: more true as hi falls or lo rises.  An iterate at
+    s = s_floor + t has cheap bounds, upper(X, s)[0] >= s and
+    lower(W)[0] <= lower_ceiling(W); its bounds wait unbuilt in a list until
+    wanted holds of the best values that the cheap bounds of the list allow,
+    at the last iterate, or when the list holds _PENDING_CAP iterates.  Then
+    _flush builds what can change the best bounds, so they have the same bits
+    as building every iterate would give.  Between flushes the last flushed
+    bounds are yielded again, or (inf, None, None) and (-inf, None) before
+    the first; wanted holds of none of these, because it does not hold of the
+    bounds of every iterate built, which are at least as good.  wanted=None
+    builds every iterate.
+
+    The solve reads only its own iterates to stop: at a relative duality gap
+    and primal residual below _GAP_TOL, after a step whose primal and dual
+    lengths both fell below _STEP_FLOOR, after max_iter Newton steps, or on a
+    breakdown of the Newton system, which flushes the list and yields once
+    more at the same step count.
     """
     L, n = len(ws.lams), ws.n
     B = ws.R + ws.s_floor * ws.J
@@ -426,24 +471,60 @@ def _interior_point(ws: _Workspace, params: SolverParams):
     t, z = ws.scale, 0.5
     W = np.eye(n, dtype=complex) / (2 * n)
     Z = ws.Dc * W
-    hi, lo = ws.upper(X, ws.s_floor + t), ws.lower(W)
+    hi, lo = (np.inf, None, None), (-np.inf, None)
+    pending = []  # (s, lower_ceiling(W), X, W) of the iterates not built
     ap = ad = 1.0
     for steps in range(params.max_iter + 1):
-        yield steps, hi, lo
+        s = ws.s_floor + t
+        pending.append((s, ws.lower_ceiling(W), X, W))
         rp = B - ws.apply(X) + t * ws.J
-        tol = _GAP_TOL * (ws.scale + abs(ws.s_floor + t))
+        tol = _GAP_TOL * (ws.scale + abs(s))
         converged = abs(t + _inner(B, W)) <= tol and np.abs(rp).max() <= tol
-        if converged or max(ap, ad) < _STEP_FLOOR or steps == params.max_iter:
+        last = converged or max(ap, ad) < _STEP_FLOOR or steps == params.max_iter
+        if (wanted is None or last or len(pending) >= _PENDING_CAP
+                or wanted(min(hi[0], min(p[0] for p in pending)),
+                          max(lo[0], max(p[1] for p in pending)))):
+            hi, lo = _flush(ws, pending, hi, lo)
+        yield steps, hi, lo
+        if last:
             return
         try:
             X, t, W, Z, z, ap, ad = _newton_step(ws, X, t, W, Z, z, rp)
+            broke = not (np.isfinite(X).all() and np.isfinite(W).all())
         except np.linalg.LinAlgError:
+            broke = True
+        if broke:
+            if pending:
+                hi, lo = _flush(ws, pending, hi, lo)
+                yield steps, hi, lo
             return
-        if not (np.isfinite(X).all() and np.isfinite(W).all()):
-            return
-        up, low = ws.upper(X, ws.s_floor + t), ws.lower(W)
-        hi = up if up[0] < hi[0] else hi
-        lo = low if low[0] > lo[0] else lo
+
+
+def _flush(ws: _Workspace, pending: list, hi: tuple, lo: tuple) -> tuple[tuple, tuple]:
+    """The best bounds over (hi, lo) and the pending iterates, which it
+    empties: those of building each iterate in order and keeping it when its
+    value is strictly better, so the earliest of equal values.  The newest is
+    built first, as it is usually the best; an older iterate is built only
+    when its cheap bound could beat both it and the best so far."""
+    s, _, X, W = pending[-1]
+    up, low = ws.upper(X, s), ws.lower(W)
+    for s, ceiling, X, W in pending[:-1]:
+        if s <= min(hi[0], up[0]):
+            hi = _least(hi, ws.upper(X, s))
+        if ceiling >= max(lo[0], low[0]):
+            lo = _greatest(lo, ws.lower(W))
+    pending.clear()
+    return _least(hi, up), _greatest(lo, low)
+
+
+def _least(hi: tuple, up: tuple) -> tuple:
+    """up when its value is below hi's, or when hi is the placeholder of no bound."""
+    return up if hi[1] is None or up[0] < hi[0] else hi
+
+
+def _greatest(lo: tuple, low: tuple) -> tuple:
+    """low when its value is above lo's; the placeholder is lower's own (-inf, None)."""
+    return low if low[0] > lo[0] else lo
 
 
 def _solve_target(sample: PointSample, preordering: Preordering, R_blocks: np.ndarray,
@@ -468,7 +549,7 @@ def _solve_target(sample: PointSample, preordering: Preordering, R_blocks: np.nd
                                       params.feas_tol)
         return DecomposeResult("infeasible", None, wit, max(hi[0], 0.0), steps) if wit else None
 
-    for steps, hi, lo in _interior_point(ws, params):
+    for steps, hi, lo in _interior_point(ws, params, lambda hi, lo: lo > 0 or hi <= 0):
         done = (lo[0] > 0 and separated(hi, lo, steps)) or (hi[0] <= 0 and certified(hi, steps))
         if done:
             return done
@@ -636,7 +717,8 @@ class Colligation:
             # overflowed to inf or NaN fails it and is refused without one.
             with np.errstate(over="ignore", invalid="ignore"):
                 G = U.conj().T @ U - np.eye(U.shape[0])
-            if not np.linalg.norm(G) <= 1e-10:
+                near = np.linalg.norm(G) <= 1e-10
+            if not near:
                 err = spectral_norm(G) if np.isfinite(G).all() else np.inf
                 if err > 1e-10:
                     raise ValueError(f"colligation is not unitary: |U*U - 1| = {err:.3e}")
@@ -888,12 +970,16 @@ def schur_agler_norm(phi: FunctionSample, preordering: Preordering,
                                                    params, sup)
         return hi, lo
 
+    def width(hi, lo):  # of the bracket that bound values hi and lo would give
+        return np.sqrt(max(hi, 0.0)) - np.sqrt(max(lo, sup * sup))
+
     tried = None
-    for _, upper, lower in _interior_point(ws, params):
+    # the solve's predicate leaves out 0 <= width: optimistic ends that cross
+    # can hide true ones within tol
+    for _, upper, lower in _interior_point(ws, params, lambda hi, lo: width(hi, lo) <= tol):
         bounds = (upper[0], lower[0])
         # crossed ends are no bracket: one of them is not a bound
-        width = np.sqrt(max(upper[0], 0.0)) - np.sqrt(max(lower[0], sup * sup))
-        if 0 <= width <= tol and bounds != tried:
+        if 0 <= width(*bounds) <= tol and bounds != tried:
             tried = bounds
             out = _norm_result(*ends(upper, lower), sup, tol)
             if out.resolved:

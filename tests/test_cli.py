@@ -592,6 +592,17 @@ _HUGE_INT = "1" + "0" * 400  # a JSON integer that no float holds
         PointSample(np.array([[0.5], [-0.5]])), 1e300 * np.ones((2, 2)))),
         "preordering": [[1000]]}, None,
                  "$.preordering[0]: defect is not finite", id="check-kernel-defect-overflow"),
+    # a finite field whose term of the solver's target overflows is refused by
+    # its path before the solve, with no warning on the way
+    *[pytest.param(command, [], fields, "1e308", f"{path}: too large: the solver's target "
+                   "overflows", id=f"{command}-{path[2:]}-overflows-the-target",
+                   marks=pytest.mark.filterwarnings("error"))
+      for command, path, fields in (
+          *[(command, "$.phi", {"phi": [[[[12345.5, 0.0]]], [[[0.1, 0.0]]]]})
+            for command in ("decompose", "realize", "norm")],
+          *[(command, "$.c", {"c": 12345.5}) for command in ("decompose", "realize", "norm")],
+          ("pick", "$.a", {"a": [[[[12345.5, 0.0]]], [[[1.0, 0.0]]]]}),
+          ("pick", "$.b", {"b": [[[[0.1, 0.0]]], [[[12345.5, 0.0]]]]}))],
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):

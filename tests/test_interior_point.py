@@ -163,8 +163,8 @@ def test_decision_validates_each_witness_once(monkeypatch):
     latest, tried = [], []
     solve = realize._interior_point
 
-    def recorded(ws, params):
-        for item in solve(ws, params):
+    def recorded(ws, params, wanted=None):
+        for item in solve(ws, params, wanted):
             latest[:] = item[1][0], item[2][0]
             yield item
 
@@ -335,3 +335,148 @@ NORM_BRACKET_STEP_BOUND = 121
 def test_norm_bracket_ops_stay_within_their_newton_steps():
     total = sum(_counted_norm(*_norm_bracket_op(1, i), 1e-4, NORM_PARAMS)[1] for i in range(12))
     assert total <= NORM_BRACKET_STEP_BOUND
+
+
+# Bounds built only when they can decide: the cheap bounds of each iterate
+# hold, and every yield at which the caller could act is the eager drain's.
+
+
+def _all_bounds_checked(solve):
+    """Run solve() with the bounds of every iterate built, each checked against
+    the cheap bound that stands in for it while it is not built; the count."""
+    checked = [0]
+    solve_eagerly, upper, lower = (realize._interior_point, realize._Workspace.upper,
+                                   realize._Workspace.lower)
+
+    def checked_upper(self, X, s):
+        out = upper(self, X, s)
+        assert s <= out[0]
+        checked[0] += 1
+        return out
+
+    def checked_lower(self, W):
+        out = lower(self, W)
+        assert out[0] <= self.lower_ceiling(W)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_interior_point", lambda ws, params, wanted=None:
+                   solve_eagerly(ws, params))
+        mp.setattr(realize._Workspace, "upper", checked_upper)
+        mp.setattr(realize._Workspace, "lower", checked_lower)
+        solve()
+    return checked[0]
+
+
+def _norm_bracket_solves(tol):
+    return [lambda i=i: schur_agler_norm(*_norm_bracket_op(1, i), tol, NORM_PARAMS)
+            for i in range(60)]
+
+
+def test_cheap_bounds_hold_on_every_iterate():
+    solves = [*PINNED_SOLVES.values(), *_norm_bracket_solves(1e-4)]
+    assert sum(_all_bounds_checked(solve) for solve in solves) > 600
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lower_ceiling_holds_off_the_central_path(seed):
+    # an indefinite W needs a large shift, which moves lower's value from
+    # -<R, W> / <J, W> towards -tr R / tr J
+    rng = np.random.default_rng([41, seed])
+    ws = _target_workspace(*_norm_bracket_op(1, seed), rng.uniform(0.0, 1.5))
+    G = rng.normal(size=(ws.n, ws.n)) + 1j * rng.normal(size=(ws.n, ws.n))
+    W = hermitize(G) + rng.uniform(-3, 3) * np.eye(ws.n) + rng.uniform(0, 3) * ws.J
+    assert ws.lower(W)[0] <= ws.lower_ceiling(W)
+
+
+class _StubBounds:
+    """Iterates that carry their bound values: X = (value, tag), W = (value, tag)."""
+
+    def __init__(self):
+        self.built = []
+
+    def upper(self, X, s):
+        self.built.append(X[1])
+        return X[0], X[1], None
+
+    def lower(self, W):
+        self.built.append(W[1])
+        return W
+
+
+def test_flush_builds_what_can_win_and_keeps_the_earliest_of_equals():
+    ups, lows = [3.0, 2.0, 4.0, 2.0], [1.0, 4.0, 0.0, 4.0]
+    pending = [(u, w, (u, f"X{j}"), (w, f"W{j}")) for j, (u, w) in enumerate(zip(ups, lows))]
+    ws = _StubBounds()
+    hi, lo = realize._flush(ws, pending, (np.inf, None, None), (-np.inf, None))
+    assert (hi[1], lo[1], pending) == ("X1", "W1", [])
+    assert ws.built == ["X3", "W3", "X1", "W1"]
+    # bounds flushed before stay ahead of equal ones
+    hi, lo = realize._flush(ws, [(2.0, 4.0, (2.0, "X"), (4.0, "W"))], hi, lo)
+    assert (hi[1], lo[1]) == ("X1", "W1")
+    # the first bound built replaces the placeholder even at inf, as an eager
+    # solve keeps the bounds of its start
+    hi, _ = realize._flush(ws, [(1.0, 0.0, (np.inf, "X"), (0.0, "W"))], (np.inf, None, None),
+                           (-np.inf, None))
+    assert hi[1] == "X"
+
+
+class _Started(Exception):
+    """Raised in place of a solve, with its arguments (ws, params, wanted)."""
+
+
+def _solve_arguments(run):
+    """The (ws, params, wanted) with which run() starts its interior-point solve."""
+    def start(ws, params, wanted=None):
+        raise _Started(ws, params, wanted)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_interior_point", start)
+        with pytest.raises(_Started) as started:
+            run()
+    return started.value.args
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def _decisions():
+    phi = _sample(5, 4, 2, 1.0)
+    norm = schur_agler_norm(phi, classical(2), 1e-4)
+    pinned, _ = random_transfer_sample(np.random.default_rng([1, 4]), 4, 2)
+    return [lambda c=c: agler_decompose(phi, classical(2), c)
+            for c in (0.3, 0.9 * norm.c_lo, 1.1 * norm.c_hi)] + [
+        lambda: agler_decompose(pinned, standard_ample(2), 0.9,
+                                SolverParams(force_iterative=True)),
+        lambda: schur_agler_norm(*_norm_bracket_op(1, 1), 1e-4, SolverParams(max_iter=2))]
+
+
+LAZY_SOLVES = {
+    # the drained decompose target passes no predicate; its decision is below
+    "pinned": lambda: [solve for name, solve in sorted(PINNED_SOLVES.items())
+                       if not name.startswith("decompose")],
+    "norm-bracket seed 1, tol 1e-4 and 0": lambda: [*_norm_bracket_solves(1e-4),
+                                                    *_norm_bracket_solves(0.0)],
+    "decisions, and a norm at max_iter 2": _decisions,
+}
+
+
+@pytest.mark.parametrize("cap", [realize._PENDING_CAP, 1, 2])
+@pytest.mark.parametrize("name", sorted(LAZY_SOLVES))
+def test_bounds_the_caller_acts_on_match_the_eager_drain(name, cap, monkeypatch):
+    monkeypatch.setattr(realize, "_PENDING_CAP", cap)
+    acted = 0
+    for run in LAZY_SOLVES[name]():
+        ws, params, wanted = _solve_arguments(run)
+        assert wanted is not None
+        eager = {steps: (hi, lo) for steps, hi, lo in realize._interior_point(ws, params)}
+        lazy = list(realize._interior_point(ws, params, wanted))
+        for steps, hi, lo in lazy:
+            if wanted(hi[0], lo[0]):
+                acted += 1
+                assert _same(hi, eager[steps][0]) and _same(lo, eager[steps][1])
+        steps, hi, lo = lazy[-1]
+        assert steps == max(eager)
+        assert _same(hi, eager[steps][0]) and _same(lo, eager[steps][1])
+    assert acted > 0

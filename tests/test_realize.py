@@ -236,6 +236,14 @@ class TestUnitarityScreen:
                                              r"\|U\*U - 1\| = inf$"):
             Colligation(big, big, big, [[-1e200]], ((unit(1, 0), 1),))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_colligation_is_refused_without_warnings(self):
+        # U*U overflows in one entry only: the screen's norm of it overflows too
+        half = [[0.5]]
+        with pytest.raises(ValueError, match=r"^colligation is not unitary: "
+                                             r"\|U\*U - 1\| = inf$"):
+            Colligation([[1e308]], half, half, half, ((unit(1, 0), 1),))
+
     def test_contractive_norm_bound(self):
         assert _perturbed_colligation([0] * 5, True, 1 + 0.5e-10).contractive
         with pytest.raises(ValueError,
