@@ -41,7 +41,8 @@ script runs against any tree.  The corpus:
   colligation, colligation partitions whose multi-indices differ in length
   or whose multiplicities are negative, colligations of finite entries
   whose U*U, or only the norm of U*U - 1, overflows, phi, c and Pick data a
-  of 1e308, whose terms of the solver's target overflow, points of
+  of 1e308, whose terms of the solver's target overflow, check-kernel and
+  brehmer tol and realize feas_tol of 1e308, kernel parts of -1e308, points of
   dimension 0, and a 1 x 2-valued phi through
   norm, alone, with c and identically zero;
 - command lines that argparse refuses: the removed flags --feas-tol,
@@ -261,6 +262,19 @@ def malformed(corpus: Corpus) -> None:
     corpus.doc("malformed-norm-c-overflow", ["norm"], {**base, "c": 1e308})
     corpus.doc("malformed-pick-a-overflow", ["pick"],
                {"points": base["points"], "a": big, "b": base["phi"], "preordering": [[1, 1]]})
+    # a relative tolerance above 1, and a kernel part above max float / (2 N m),
+    # are refused by their fields before the arithmetic on them overflows
+    for command in ("check-kernel", "brehmer"):
+        corpus.doc(f"malformed-{command}-tol-overflow", [command],
+                   {**others[command], "tol": 1e308})
+    corpus.doc("malformed-realize-feas-tol-overflow", ["realize"],
+               {**base, "solver": {"feas_tol": 1e308}})
+    for part in (0, 1):
+        blocks = json.loads(dumps(kernel["blocks"]))
+        blocks[2][2][0][0][part] = -1e308
+        corpus.doc(f"malformed-check-kernel-block-overflow-{('re', 'im')[part]}",
+                   ["check-kernel"], {**others["check-kernel"],
+                                      "kernel": {**kernel, "blocks": blocks}})
 
 
 def norm_at_c(corpus: Corpus) -> None:

@@ -161,7 +161,7 @@ def cmd_check_kernel(doc, args):
     pre = _preordering(doc, K.sample.d)
     _finite_defects(doc, pre, lambda lam: (
         kernels.scalar_schur(K, kernels.defect_factor(K.sample, lam)).blocks))
-    rep = kernels.is_admissible(K, pre, serialize.json_number(doc, "tol", 1e-10))
+    rep = kernels.is_admissible(K, pre, serialize.json_number(doc, "tol", 1e-10, relative=True))
     min_eigs = {serialize.lambda_key(lam): v for lam, v in sorted(rep.min_eigs.items())}
     body = {"command": "check-kernel", "admissible": rep.admissible, "min_eigs": min_eigs,
             "worst_eig": rep.worst_eig}
@@ -267,7 +267,7 @@ def cmd_brehmer(doc, args):
     T = _tuple_from(doc)
     pre = _preordering(doc, T.d)
     _finite_defects(doc, pre, lambda lam: opmodel.hereditary_defect(T, lam))
-    rep = opmodel.is_brehmer(T, pre, serialize.json_number(doc, "tol", 1e-10))
+    rep = opmodel.is_brehmer(T, pre, serialize.json_number(doc, "tol", 1e-10, relative=True))
     return {"command": "brehmer", "is_brehmer": rep.is_brehmer,
             "margins": {serialize.lambda_key(lam): v for lam, v in sorted(rep.margins.items())},
             "norms": T.norms()}, EXIT_OK

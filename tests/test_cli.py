@@ -1,4 +1,5 @@
 """Batch front end: subcommands, exit codes, determinism, diagnostics."""
+import contextlib
 import io
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -490,6 +492,17 @@ def _two_point(preordering):
 
 
 _HUGE_INT = "1" + "0" * 400  # a JSON integer that no float holds
+_LARGE = ("1e308", "100000", str(2 ** 62))
+_AT_MOST_1 = "at most 1, a tolerance relative to the data's scale"
+
+
+def _half_szego(entry=None) -> dict:
+    """The Szego kernel on the points 0.5 and -0.5 as a document, with its
+    blocks' part at index entry, if given, set to 12345.5."""
+    doc = kernel_to_json(szego_kernel(PointSample(np.array([[0.5], [-0.5]])), (1,)))
+    if entry is not None:
+        doc["blocks"][entry] = 12345.5
+    return doc
 
 
 # 12345.5 stands in for a token that dumps cannot write
@@ -603,6 +616,22 @@ _HUGE_INT = "1" + "0" * 400  # a JSON integer that no float holds
           *[(command, "$.c", {"c": 12345.5}) for command in ("decompose", "realize", "norm")],
           ("pick", "$.a", {"a": [[[[12345.5, 0.0]]], [[[1.0, 0.0]]]]}),
           ("pick", "$.b", {"b": [[[[0.1, 0.0]]], [[[12345.5, 0.0]]]]}))],
+    # a relative tolerance above 1 and a kernel part above max float / (2 N m)
+    # are refused by their fields before the arithmetic on them overflows
+    *[pytest.param(command, [], fields, token, message, id=f"{command}-{name}-{token}",
+                   marks=pytest.mark.filterwarnings("error"))
+      for command, name, fields, tokens, message in (
+          ("check-kernel", "tol", {"kernel": _half_szego(), "preordering": [[1]],
+                                   "tol": 12345.5}, _LARGE, f"$.tol: must be {_AT_MOST_1}"),
+          ("brehmer", "tol", {"name": "kv", "preordering": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                              "tol": 12345.5}, _LARGE, f"$.tol: must be {_AT_MOST_1}"),
+          ("realize", "feas-tol", {"solver": {"feas_tol": 12345.5}}, _LARGE,
+           f"$.solver.feas_tol: must be {_AT_MOST_1}"),
+          *[("check-kernel", f"block-{i}", {"kernel": _half_szego((1, 1, 0, 0, i)),
+                                             "preordering": [[1]]}, ("1e308", "-1e308"),
+             f"$.kernel.blocks[1][1][0][0][{i}]: too large: the kernel's parts must be at "
+             "most 4.49423e+307, max float / (2 N m)") for i in (0, 1)])
+      for token in tokens],
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_input_names_the_field(command, flags, fields, token, message, tmp_path,
                                          capsys):
@@ -766,11 +795,12 @@ def test_unreadable_input_exits_1(target, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: cannot read {inp}: {reason}\n")
 
 
-# JSON values of the wrong type, zero or negative integers, and non-finite numbers;
-# "1e999" is spelled out in the text, where json.loads reads it as inf, and
-# 10**400 is written as its 401 digits
+# JSON values of the wrong type, zero or negative integers, non-finite numbers, and
+# finite ones large enough to overflow what is computed from them; "1e999" is
+# spelled out in the text, where json.loads reads it as inf, and 10**400 is
+# written as its 401 digits
 _REPLACEMENTS = ["x", True, None, {}, [], 0, -1, -3, 1.5, float("nan"), float("inf"),
-                 "1e999", 10 ** 400]
+                 "1e999", 10 ** 400, 10 ** 5, 2 ** 62, 1e308, -1e308]
 
 
 @st.composite
@@ -795,13 +825,20 @@ def _mutated_document(draw):
     return command, json.dumps(root[""]).replace('"1e999"', "1e999")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(case=_mutated_document())
 def test_mutated_documents_exit_with_a_code(case):
+    # every warning is recorded, so that no handler in main can turn one into
+    # an exit code; a refusal prints one error line
     command, text = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with (tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen,
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        warnings.simplefilter("always")
         inp, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
         inp.write_text(text)
         code = main([command, "--input", str(inp), "--output", str(out), "--quiet"])
         assert code in (0, 1, 2, 3)
         assert out.exists() == (code != 1)
+    assert [str(w.message) for w in seen] == []
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code == 1) and all(line.startswith("error: ") for line in lines)

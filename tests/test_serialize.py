@@ -471,3 +471,126 @@ def test_first_non_finite_in_document_order_is_named(first, second):
     for doc in (arr, view):
         assert outcome(dumps, doc) == outcome(reference_dumps, doc)
     assert outcome(dumps, arr) != outcome(dumps, view)
+
+
+# ---------------------------------------------------------------------------
+# the numpy formatter against '%.17g', element by element
+
+
+def _ties() -> np.ndarray:
+    """Doubles m / 2^j, m odd, with exactly 18 significant digits, the last a
+    5: exact ties at 17 digits, whose rounding '%.17g' must decide."""
+    rng = np.random.default_rng(3)
+    out = []
+    for j in range(2, 24):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        m = rng.integers(lo, hi, 40) | 1
+        out.append(m[(m >= lo) & (m < hi)] / 2.0 ** j)
+    return np.concatenate(out)
+
+
+def _near_powers() -> np.ndarray:
+    """Every power of ten in the double range times 1, 5 and 9.5, with its
+    neighbours at 1 and 2 ulps, both signs: each change of k, of layout and
+    of exponent width."""
+    base = np.array([float(f"{s}e{e}") for e in range(-323, 309) for s in (1, 5, 9.5)])
+    base = base[np.isfinite(base)]
+    steps = [base]
+    for direction in (np.inf, -np.inf):
+        x = base
+        for _ in range(2):
+            x = np.nextafter(x, direction)
+            steps.append(x)
+    near = np.concatenate(steps)
+    return np.concatenate((near[np.isfinite(near)], -near[np.isfinite(near)]))
+
+
+def _value_sets():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    big = rng.integers(10 ** 16, 10 ** 19, 4000, dtype=np.uint64).astype(float)
+    return {
+        "normal": rng.standard_normal(10 ** 5),
+        "normal-1e-17": rng.standard_normal(10 ** 5) * 1e-17,
+        "log-uniform": 10 ** rng.uniform(-304, 304, 10 ** 5) * rng.choice([-1, 1], 10 ** 5),
+        "bits": bits[np.isfinite(bits)],
+        "near-powers": _near_powers(),
+        "integers-17-19-digits": np.concatenate((big, -big)),
+        "ties": np.concatenate((_ties(), -_ties())),
+        "inner-point": rng.standard_normal(4000) * 10.0 ** rng.integers(1, 17, 4000),
+        "eighths": rng.integers(-10 ** 6, 10 ** 6, 4000) / 8,
+        "edges": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1.7976931348623157e308, -1.7976931348623157e308,
+                           9.9999999999999995e-5, 99999999999999999.0, 1e16, 1e17,
+                           1234567890123456.25, 0.5, 12.5, 1200.0]),
+    }
+
+
+_VALUES = _value_sets()
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_formatter_prints_each_float_as_percent_17g(name):
+    arr = _VALUES[name]
+    assert dumps(arr) == "[" + ",".join("%.17g" % x for x in arr.tolist()) + "]"
+
+
+def test_ties_are_deferred_to_percent_17g(monkeypatch):
+    # the rounding of an exact tie is decided by '%.17g', never by the fast path:
+    # certify every element, and the ties print wrongly
+    ties = _VALUES["ties"]
+    expected = dumps(ties)
+    assert expected == reference_dumps(ties.tolist())
+    monkeypatch.setattr(serialize, "_TIE_MARGIN", -1.0)
+    assert dumps(ties) != expected
+
+
+@pytest.mark.parametrize("name", ["normal", "near-powers", "edges"])
+def test_deferring_every_element_prints_the_same_text(name, monkeypatch):
+    arr = _VALUES[name][:3000]
+    arr = arr[:arr.size - arr.size % 6]
+    expected = reference_dumps(arr.tolist()), reference_dumps(arr.reshape(-1, 2, 3).tolist())
+    monkeypatch.setattr(serialize, "_TIE_MARGIN", 1.0)
+    assert (dumps(arr), dumps(arr.reshape(-1, 2, 3))) == expected
+
+
+@pytest.mark.parametrize("numpy_path", [False, True])
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (), (5,), (2, 3, 4, 2), (4, 4, 1, 1, 2),
+                                   (serialize._TEMPLATE_MAX,), (serialize._TEMPLATE_MAX + 1,)])
+def test_shapes_print_as_their_list(shape, numpy_path, monkeypatch):
+    if numpy_path:  # every nonempty array, however small
+        monkeypatch.setattr(serialize, "_TEMPLATE_MAX", 0)
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    assert dumps(arr) == reference_dumps(arr.tolist())
+    assert dumps({"a": [arr]}) == reference_dumps({"a": [arr.tolist()]})
+
+
+def test_chunks_join_with_deferred_elements_at_the_edges():
+    # a tie and an element out of the certified range on each side of each chunk edge
+    # rows, brackets and commas run across each edge
+    chunk = serialize._CHUNK
+    shaped = np.random.default_rng(6).standard_normal((7, chunk // 7 + 1, 2))
+    flat = shaped.reshape(-1)
+    for edge in (chunk, 2 * chunk - 1):
+        flat[edge - 2:edge + 2] = (1234567890123456.25, -5e-324, 1e305, -0.0)
+    assert dumps(shaped) == reference_dumps(shaped.tolist())
+
+
+@EMIT
+@given(arrays(np.float64, shapes, elements=finite), st.integers(1, 7))
+def test_any_chunk_size_prints_the_same_text(arr, chunk):
+    with mock.patch.object(serialize, "_CHUNK", chunk), \
+            mock.patch.object(serialize, "_TEMPLATE_MAX", 0):
+        assert dumps(arr) == reference_dumps(arr.tolist())
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "NaN is not serializable"),
+                                          (np.inf, "infinity is not serializable"),
+                                          (-np.inf, "infinity is not serializable")])
+def test_first_non_finite_of_a_long_array_is_refused(bad, message):
+    # the first in ravel order sits in the second chunk, another kind in the third
+    arr = np.ones((3, serialize._CHUNK))
+    arr[1, 7], arr[2, 5] = bad, np.inf if bad != bad else np.nan
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dumps(arr)
