@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._linalg import hermitize, min_eig, spectral_norm
 from .preorder import MultiIndex, Preordering, minimal_reduction
-from .realize import Colligation
+
+if TYPE_CHECKING:
+    from .realize import Colligation
 
 COMMUTE_TOL = 1e-12
 

@@ -21,7 +21,7 @@ from .auxfun import monomial_rows, psi_rows, row_sqnorms
 from .kernels import (HermitianKernel, PointSample, defect_factor, is_admissible,
                       kolmogorov, psd_check, szego_factor)
 from .preorder import (MultiIndex, Preordering, classify, is_zero_one,
-                       minimal_reduction, weight)
+                       minimal_reduction, unit, weight)
 
 
 @dataclass(frozen=True)
@@ -881,6 +881,37 @@ def lurking_isometry(cert: AglerCertificate, phi: FunctionSample,
     c = cert.c or 1.0
     identity = np.tile(np.eye(phi.m_out), (phi.sample.n_points, 1, 1))
     return lurking_colligation(phi.sample, identity, phi.values / c, cert, feas_tol, c)
+
+
+def colligation_certificate(col: Colligation, sample: PointSample) -> AglerCertificate:
+    """The Agler decomposition at c = 1 of a classical colligation's transfer
+    function W on a sample: the converse of lurking_isometry.
+
+    With S(x) = (+)_j x_j I_{mult_j} in partition order and
+    G(x) = C (1 - S(x) A)^{-1}, unitarity gives
+    1 - W(x) W(y)^* = G(x) (1 - S(x) S(y)^*) G(y)^*, so
+    Gamma_{e_j}(x, y) = G_j(x) G_j(y)^*, with G_j the columns of G that belong
+    to coordinate j; a coordinate with no copies gets a zero kernel."""
+    for lam, _ in col.partition:
+        if weight(lam) != 1:
+            raise ValueError(f"a classical colligation has weight-1 partition entries, "
+                             f"got {lam}")
+    pts = sample.points
+    N, d = pts.shape
+    if col.partition and col.d != d:
+        raise ValueError(f"point dimension {d} != colligation dimension {col.d}")
+    coords = np.repeat([lam.index(1) for lam, _ in col.partition],
+                       [mult for _, mult in col.partition]).astype(int)
+    E, m = col.state_dim, col.output_dim
+    M = np.eye(E) - pts[:, coords, None] * col.A  # 1 - S(x) A
+    # G(x)^T solves M(x)^T G(x)^T = C^T
+    G = np.linalg.solve(M.transpose(0, 2, 1),
+                        np.broadcast_to(col.C.T, (N, E, m))).transpose(0, 2, 1)
+    gammas = {}
+    for j in range(d):
+        Gj = G[:, :, coords == j]
+        gammas[unit(d, j)] = HermitianKernel(sample, np.einsum("xak,ybk->xyab", Gj, Gj.conj()))
+    return AglerCertificate(gammas, 1.0)
 
 
 def transfer_compose(c1: Colligation, c2: Colligation, mode: str = "product",

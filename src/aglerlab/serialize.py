@@ -18,10 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .kernels import HermitianKernel, PointSample
-from .preorder import Preordering
-from .realize import (AglerCertificate, Colligation, DecomposeResult, FunctionSample,
-                      SolverParams)
+from . import kernels, opmodel, preorder, realize
 
 SCHEMA = "agler-lab/1"
 
@@ -404,23 +401,23 @@ def _float_or_inf(v) -> float:
 # domain objects
 
 
-def points_to_json(sample: PointSample):
+def points_to_json(sample: kernels.PointSample):
     return array_to_json(sample.points)
 
 
-def json_to_points(doc, path: str = "$.points") -> PointSample:
+def json_to_points(doc, path: str = "$.points") -> kernels.PointSample:
     pts = json_to_array(doc, path)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise FormatError(path, f"points must be N x d, got shape {pts.shape}")
     try:
-        return PointSample(pts)
+        return kernels.PointSample(pts)
     except ValueError as exc:
         raise FormatError(path, str(exc)) from None
 
 
-def kernel_to_json(K: HermitianKernel) -> dict:
+def kernel_to_json(K: kernels.HermitianKernel) -> dict:
     return {
         "points": points_to_json(K.sample),
         "block_dim": K.block_dim,
@@ -428,7 +425,7 @@ def kernel_to_json(K: HermitianKernel) -> dict:
     }
 
 
-def json_to_kernel(doc, path: str = "$") -> HermitianKernel:
+def json_to_kernel(doc, path: str = "$") -> kernels.HermitianKernel:
     if not isinstance(doc, dict):
         raise FormatError(path, "kernel must be an object")
     for key in ("points", "block_dim", "blocks"):
@@ -451,12 +448,12 @@ def json_to_kernel(doc, path: str = "$") -> HermitianKernel:
                           f"too large: the kernel's parts must be at most {bound:.6g}, "
                           "max float / (2 N m)")
     try:
-        return HermitianKernel(sample, blocks)
+        return kernels.HermitianKernel(sample, blocks)
     except ValueError as exc:
         raise FormatError(f"{path}.blocks", str(exc)) from None
 
 
-def preordering_to_json(p: Preordering):
+def preordering_to_json(p: preorder.Preordering):
     return [list(lam) for lam in p.sorted()]
 
 
@@ -465,7 +462,7 @@ def preordering_to_json(p: Preordering):
 MAX_DEGREE = 1023
 
 
-def json_to_preordering(doc, path: str = "$.preordering") -> Preordering:
+def json_to_preordering(doc, path: str = "$.preordering") -> preorder.Preordering:
     if not isinstance(doc, list) or not all(isinstance(l, list) for l in doc):
         raise FormatError(path, "preordering must be an array of integer arrays")
     for i, lam in enumerate(doc):
@@ -474,7 +471,7 @@ def json_to_preordering(doc, path: str = "$.preordering") -> Preordering:
             if abs(v) >= 2 ** 63:  # range() and numpy take nothing larger
                 raise FormatError(f"{path}[{i}][{j}]", "must be an integer that fits 64 bits")
     try:
-        pre = Preordering([tuple(lam) for lam in doc])
+        pre = preorder.Preordering([tuple(lam) for lam in doc])
     except (TypeError, ValueError) as exc:
         raise FormatError(path, str(exc)) from None
     for i, lam in enumerate(doc):
@@ -494,21 +491,21 @@ def parse_lambda_key(key: str, path: str):
         raise FormatError(path, f"bad multi-index key {key!r}") from None
 
 
-def certificate_to_json(cert: AglerCertificate) -> dict:
+def certificate_to_json(cert: realize.AglerCertificate) -> dict:
     return {lambda_key(lam): kernel_to_json(cert.gammas[lam]) for lam in cert.lambdas()}
 
 
-def json_to_certificate(doc, c: float, path: str = "$.certificate") -> AglerCertificate:
+def json_to_certificate(doc, c: float, path: str = "$.certificate") -> realize.AglerCertificate:
     if not isinstance(doc, dict):
         raise FormatError(path, "certificate must be an object")
     gammas = {}
     for key, val in doc.items():
         lam = parse_lambda_key(key, f"{path}.{key}")
         gammas[lam] = json_to_kernel(val, f"{path}.{key}")
-    return AglerCertificate(gammas, c)
+    return realize.AglerCertificate(gammas, c)
 
 
-def colligation_to_json(col: Colligation) -> dict:
+def colligation_to_json(col: realize.Colligation) -> dict:
     doc = {
         "A": array_to_json(col.A),
         "B": array_to_json(col.B),
@@ -521,7 +518,7 @@ def colligation_to_json(col: Colligation) -> dict:
     return doc
 
 
-def json_to_colligation(doc, path: str = "$") -> Colligation:
+def json_to_colligation(doc, path: str = "$") -> realize.Colligation:
     if not isinstance(doc, dict):
         raise FormatError(path, "colligation must be an object")
     for key in ("A", "B", "C", "D", "partition"):
@@ -545,17 +542,17 @@ def json_to_colligation(doc, path: str = "$") -> Colligation:
     contractive = doc.get("contractive", False)
     _check_type(contractive, (bool,), "a boolean", f"{path}.contractive")
     try:
-        return Colligation(mats["A"], mats["B"], mats["C"], mats["D"], tuple(part),
-                           contractive=contractive)
+        return realize.Colligation(mats["A"], mats["B"], mats["C"], mats["D"], tuple(part),
+                                   contractive=contractive)
     except ValueError as exc:
         raise FormatError(path, str(exc)) from None
 
 
-def function_sample_to_json(phi: FunctionSample) -> dict:
+def function_sample_to_json(phi: realize.FunctionSample) -> dict:
     return {"points": points_to_json(phi.sample), "phi": array_to_json(phi.values)}
 
 
-def json_to_function_sample(doc, path: str = "$") -> FunctionSample:
+def json_to_function_sample(doc, path: str = "$") -> realize.FunctionSample:
     for key in ("points", "phi"):
         if key not in doc:
             raise FormatError(f"{path}.{key}", "missing field")
@@ -565,7 +562,7 @@ def json_to_function_sample(doc, path: str = "$") -> FunctionSample:
         vals = vals[:, None, None]
     if vals.ndim != 3 or vals.shape[0] != sample.n_points:
         raise FormatError(f"{path}.phi", f"expected (N, m, m'), got {vals.shape}")
-    return FunctionSample(sample, vals)
+    return realize.FunctionSample(sample, vals)
 
 
 def tuple_to_json(T) -> dict:
@@ -577,12 +574,11 @@ def tuple_to_json(T) -> dict:
 
 
 def json_to_tuple(doc, path: str = "$"):
-    from .opmodel import CommutingTuple
     if not isinstance(doc, dict) or not isinstance(doc.get("matrices"), list):
         raise FormatError(path, "tuple document needs a matrices array")
     mats = [json_to_array(M, f"{path}.matrices[{i}]") for i, M in enumerate(doc["matrices"])]
     try:
-        return CommutingTuple(mats)
+        return opmodel.CommutingTuple(mats)
     except ValueError as exc:
         raise FormatError(f"{path}.matrices", str(exc)) from None
 
@@ -623,10 +619,10 @@ def json_number(doc: dict, key: str, default, relative: bool = False):
     return float(doc[key])
 
 
-def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
+def solver_params_from_json(doc, path: str = "$.solver") -> realize.SolverParams:
     """$.solver, each field checked for its JSON type and range; any other key
     is refused."""
-    params = SolverParams()
+    params = realize.SolverParams()
     if doc is None:
         return params
     if not isinstance(doc, dict):
@@ -643,12 +639,12 @@ def solver_params_from_json(doc, path: str = "$.solver") -> SolverParams:
     return params
 
 
-def solver_params_to_json(params: SolverParams) -> dict:
+def solver_params_to_json(params: realize.SolverParams) -> dict:
     """The report's echo: every field that $.solver accepts, in that order."""
     return {key: getattr(params, key) for key in _SOLVER_FIELDS}
 
 
-def result_to_json(result: DecomposeResult) -> dict:
+def result_to_json(result: realize.DecomposeResult) -> dict:
     doc = {"status": result.status}
     doc["certificate"] = (certificate_to_json(result.certificate)
                           if result.certificate else {})

@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from aglerlab.cli import main
 from aglerlab.preorder import classical
-from aglerlab.realize import Colligation, FunctionSample, eval_transfer, validate_witness
+from aglerlab.realize import (Colligation, FunctionSample, colligation_certificate,
+                              eval_transfer, validate_certificate, validate_witness)
 from aglerlab.sampling import (random_classical_colligation, random_points,
                                random_transfer_sample, random_unitary)
 from aglerlab.serialize import (colligation_to_json, dumps, function_sample_to_json,
-                                json_to_colligation, json_to_kernel, kernel_to_json,
-                                points_to_json)
+                                json_to_colligation, json_to_function_sample, json_to_kernel,
+                                kernel_to_json, points_to_json)
 from aglerlab.kernels import HermitianKernel, PointSample, ones_kernel, szego_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -842,3 +843,18 @@ def test_mutated_documents_exit_with_a_code(case):
     assert [str(w.message) for w in seen] == []
     lines = err.getvalue().splitlines()
     assert len(lines) == (code == 1) and all(line.startswith("error: ") for line in lines)
+
+
+def test_realized_colligation_gives_back_a_certificate(tmp_path):
+    # realize under classical(2), then the emitted colligation's own closed-form
+    # decomposition of its transfer function W at c = 1, checked by the unchanged
+    # validator against W's values on the sample
+    doc = _VALID["decompose"]
+    code, report = run_cli(["realize"], tmp_path, doc)
+    assert code == 0 and report["status"] == "feasible"
+    col = json_to_colligation(report["colligation"])
+    sample = json_to_function_sample(json.loads(dumps(doc))).sample
+    cert = colligation_certificate(col, sample)
+    W = FunctionSample(sample, eval_transfer(col, sample.points))
+    ok, residual, _ = validate_certificate(W, classical(2), 1.0, cert, 1e-8)
+    assert ok and residual < 1e-12

@@ -11,8 +11,8 @@ from aglerlab.pick import PickProblem
 from aglerlab.preorder import (Preordering, classical, minimal_reduction, parity_split,
                                standard_ample, standard_nearly_ample, unit, weight)
 from aglerlab.realize import (Colligation, FunctionSample, SolverParams,
-                              agler_decompose, ample_membership, decide_target,
-                              eval_transfer, lurking_colligation, lurking_isometry,
+                              agler_decompose, ample_membership, colligation_certificate,
+                              decide_target, eval_transfer, lurking_colligation, lurking_isometry,
                               pick_target, schur_agler_norm, target_blocks, transfer_compose,
                               validate_certificate, validate_witness)
 from aglerlab.sampling import (random_classical_colligation, random_points,
@@ -838,3 +838,45 @@ def test_decomposition_target_is_the_pick_target_with_a_constant(m, c):
         assert pick_target(a, vals).tobytes() == (
             np.einsum("xij,ykj->xyik", a, a.conj())
             - np.einsum("xij,ykj->xyik", vals, vals.conj())).tobytes()
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("s", range(8))
+def test_classical_colligation_certificate_validates(N, s):
+    """The closed-form decomposition of a classical transfer function at c = 1
+    passes the unchanged validator (residuals near 1e-15 up to N = 32), on the
+    instances where the norm's upper end is weakest."""
+    phi, col = random_transfer_sample(RNG([7, s, N]), N, 2)
+    cert = colligation_certificate(col, phi.sample)
+    assert cert.c == 1.0 and cert.lambdas() == [(0, 1), (1, 0)]
+    ok, residual, _ = validate_certificate(phi, classical(2), 1.0, cert, 1e-8)
+    assert ok and residual < 1e-12
+
+
+def test_colligation_certificate_of_a_composed_colligation():
+    # a product repeats each coordinate in its partition; G_j takes the
+    # columns of every copy of e_j
+    rng = RNG(3)
+    col = transfer_compose(random_classical_colligation(rng, 3, 2),
+                           random_classical_colligation(rng, 3, 2))
+    s = random_points(rng, 6, 3)
+    phi = FunctionSample(s, eval_transfer(col, s.points))
+    cert = colligation_certificate(col, s)
+    assert validate_certificate(phi, classical(3), 1.0, cert, 1e-8)[0]
+
+
+def test_colligation_certificate_gives_a_coordinate_without_copies_a_zero_kernel():
+    U = random_unitary(RNG(4), 3)
+    col = Colligation(U[:2, :2], U[:2, 2:], U[2:, :2], U[2:, 2:], (((1, 0), 2), ((0, 1), 0)))
+    s = random_points(RNG(5), 5, 2)
+    cert = colligation_certificate(col, s)
+    assert not cert.gammas[(0, 1)].blocks.any()
+    phi = FunctionSample(s, eval_transfer(col, s.points))
+    assert validate_certificate(phi, classical(2), 1.0, cert, 1e-8)[0]
+
+
+def test_colligation_certificate_needs_a_classical_partition():
+    U = random_unitary(RNG(6), 4)
+    col = Colligation(U[:3, :3], U[:3, 3:], U[3:, :3], U[3:, 3:], (((1, 0), 1), ((1, 1), 1)))
+    with pytest.raises(ValueError, match=r"weight-1 partition entries, got \(1, 1\)"):
+        colligation_certificate(col, random_points(RNG(7), 3, 2))
