@@ -41,7 +41,7 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     pre_a = standard_ample(3)
     drops = [(0, 1), (0, 2), (1, 2)]
-    params = SolverParams(max_iter=30_000, stall_rtol=1e-9)
+    params = SolverParams(max_iter=30_000)
 
     print(f"{'trial':>5} {'drop':>6} {'sup|phi|':>10} {'ample norm':>24} "
           f"{'nearly ample norm':>24} {'gap':>25}")

@@ -7,14 +7,6 @@ loads only what it uses; the names below resolve through the module that
 defines them.
 """
 
-import os
-
-# BLAS reads its thread count once, when numpy loads: cap it before any submodule import
-if os.environ.get("AGLER_LAB_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["AGLER_LAB_THREADS"])
-
 import importlib.util
 import sys
 

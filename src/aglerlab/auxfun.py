@@ -55,11 +55,6 @@ class PsiRows:
     def n(self) -> int:
         return self.plus.shape[1]
 
-    def defect_identity_residual(self) -> float:
-        lhs = self.plus @ self.plus.conj().T - self.minus @ self.minus.conj().T
-        rhs = defect_factor(self.sample, self.lam)
-        return float(np.abs(lhs - rhs).max())
-
 
 def psi_rows(sample: PointSample, lam: MultiIndex) -> PsiRows:
     lam = sample_multi_index(sample, lam)
@@ -73,7 +68,6 @@ class AuxFunctionSample:
     sample: PointSample
     lam: MultiIndex
     sigmas: np.ndarray  # (N, n, n)
-    mode: str           # "raw" | "extended"
 
     @property
     def n(self) -> int:
@@ -86,7 +80,7 @@ class AuxFunctionSample:
 def aux_function(sample: PointSample, lam: MultiIndex) -> AuxFunctionSample:
     """Raw sigma_lam: psi^+ sigma = psi^- holds exactly, norm |psi^-|/|psi^+| < 1."""
     lam = sample_multi_index(sample, lam)
-    return AuxFunctionSample(sample, lam, raw_sigmas(sample.points, lam), "raw")
+    return AuxFunctionSample(sample, lam, raw_sigmas(sample.points, lam))
 
 
 def verify_defect_identity(sample: PointSample, lam: MultiIndex,
@@ -181,7 +175,7 @@ def extend_aux_finite(sample: PointSample, lam: MultiIndex,
     # sigma~(x) = kappa_x G kappa_x^* / k_s(x,x), a contraction
     kx = kappa.reshape(N, n, N * n)  # kappa_x: rows x*n..(x+1)*n
     sigmas = kx @ G @ kx.conj().transpose(0, 2, 1) / ks.diagonal().real[:, None, None]
-    ext = AuxFunctionSample(sample, rows.lam, sigmas, "extended")
+    ext = AuxFunctionSample(sample, rows.lam, sigmas)
     boundary = tuple(np.flatnonzero(ext.norms() >= 1 - 1e-9).tolist())
 
     # k_s enters as an array, not as a HermitianKernel: near the torus the round-off

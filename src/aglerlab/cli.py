@@ -6,8 +6,8 @@ is a function of its document: the flags choose only where the document comes
 from and where the report and progress notes go.
 
 Exit codes: 0 success, 2 infeasible with witness, 3 unresolved, 1 usage or
-input errors.  AGLER_LAB_THREADS is applied when the package is imported,
-before numpy loads.
+input errors.  The BLAS takes its thread count from its own variable
+(OPENBLAS_NUM_THREADS or that BLAS's), set before launch.
 """
 from __future__ import annotations
 

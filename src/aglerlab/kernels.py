@@ -7,7 +7,7 @@ below one.  Kernels carry m x m blocks per point pair; the assembled
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class PointSample:
     """Finite list of distinct points given by test-function values."""
 
     points: np.ndarray  # (N, d) complex
-    margin: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -39,7 +38,6 @@ class PointSample:
             raise ValueError(f"duplicate points at indices {dup_i[0]}, {dup_j[0]}: "
                              "test functions separate points")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "margin", float(1.0 - mod.max()))
 
     @property
     def n_points(self) -> int:
@@ -240,10 +238,6 @@ class KolmogorovFactor:
     sample: PointSample
     rank: int
     gammas: np.ndarray  # (N, m, rank)
-
-    def reassemble(self) -> HermitianKernel:
-        blocks = np.einsum("xir,yjr->xyij", self.gammas, self.gammas.conj())
-        return HermitianKernel(self.sample, blocks)
 
 
 def kolmogorov(K: HermitianKernel, tol: float = DEFAULT_TOL) -> KolmogorovFactor:

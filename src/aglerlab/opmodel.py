@@ -142,13 +142,6 @@ class TestPolynomial:
     def m(self) -> int:
         return next(iter(self.coeffs.values())).shape[0]
 
-    def eval_scalar(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros((self.m, self.m), dtype=complex)
-        for lam, c in self.coeffs.items():
-            out += c * np.prod(z ** np.array(lam))
-        return out
-
 
 def eval_polynomial(p: TestPolynomial, T: CommutingTuple) -> np.ndarray:
     """sum_lam coeff_lam (x) T^lam on C^m (x) C^q."""

@@ -136,10 +136,6 @@ class Classification:
     def is_ample(self) -> bool:
         return self.kind in ("ample", "standard-ample")
 
-    @property
-    def is_nearly_ample(self) -> bool:
-        return self.kind in ("nearly-ample", "standard-nearly-ample")
-
 
 def classify(p: Preordering) -> Classification:
     maxima = minimal_reduction(p).sorted()

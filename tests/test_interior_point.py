@@ -122,7 +122,7 @@ def test_stop_does_not_read_the_bounds():
     # norm-bracket seed 9, op 58: with every upper bound at inf a rule on the
     # bracket width would compare inf - inf; the step-length floor does not look
     phi, _ = random_transfer_sample(np.random.default_rng([9, 58]), 8, 2)
-    params = SolverParams(max_iter=3000, stall_rtol=1e-9)
+    params = SolverParams(max_iter=3000)
     ws = realize._Workspace(phi.sample, realize._decomposition_lambdas(classical(2)),
                             realize.target_blocks(phi, 0.0), params.feas_tol)
     steps, _, lower = _drain(ws, params)
@@ -151,7 +151,7 @@ def test_each_certificate_end_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(realize, "_certificate_end", counted("ends", end))
     monkeypatch.setattr(realize, "validate_certificate", counted("validations", validate))
-    out = schur_agler_norm(phi, classical(2), 1e-4, SolverParams(max_iter=3000, stall_rtol=1e-9))
+    out = schur_agler_norm(phi, classical(2), 1e-4, SolverParams(max_iter=3000))
     assert calls["ends"] > 0 and calls["validations"] == calls["ends"]
     assert out.resolved and out.c_hi - out.c_lo < 1e-5
 
@@ -262,7 +262,7 @@ def _target_workspace(phi, pre, c):
                               realize.target_blocks(phi, c), FEAS_TOL)
 
 
-NORM_PARAMS = SolverParams(max_iter=3000, stall_rtol=1e-9)
+NORM_PARAMS = SolverParams(max_iter=3000)
 PINNED_SOLVES = {
     "classical(2) N=4": lambda: schur_agler_norm(
         random_transfer_sample(np.random.default_rng([1, 0]), 4, 2)[0], classical(2), 1e-4,

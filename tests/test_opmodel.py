@@ -357,7 +357,8 @@ class TestBrehmerImpliesVonNeumann:
                 lam = tuple(int(rng.integers(0, 3)) for _ in range(d))
                 coeffs[lam] = complex(rng.normal(), rng.normal())
             p = TestPolynomial(coeffs)
-            vals = np.array([p.eval_scalar(sample.points[x])[0, 0] for x in range(q)])
+            vals = np.array([eval_polynomial(p, CommutingTuple(sample.points[x]))[0, 0]
+                             for x in range(q)])
             phi = FunctionSample(sample, vals)
             out = schur_agler_norm(phi, classical(d), tol=1e-4)
             norm_pT = np.linalg.norm(eval_polynomial(p, T), 2)

@@ -1,5 +1,6 @@
-"""The package's load policy: importing it runs no module, each command runs
-only the modules it uses, and every exported name still resolves."""
+"""The package's load policy: importing it runs no module and sets no
+environment, each command runs only the modules it uses, and every exported
+name still resolves."""
 import importlib
 import json
 import os
@@ -97,6 +98,21 @@ def test_module_entry_point_runs_once_without_warnings(tmp_path):
     proc = _child(["-m", "aglerlab.cli", "example", "kv"], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["name"] == "kv"
+
+
+def test_the_package_sets_no_environment(tmp_path):
+    # the BLAS reads its own thread variables, and the package sets none of them
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["AGLER_LAB_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    child = ("import json, os\nfrom aglerlab.cli import main\n"
+             "assert main(['example', 'kv', '--quiet']) == 0\n"
+             f"print(json.dumps([os.environ.get(v) for v in {blas!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [None] * len(blas)
 
 
 def test_importing_the_package_runs_no_module(tmp_path):

@@ -91,7 +91,7 @@ class TestClassify:
     def test_general(self):
         c = classify(Preordering([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
         assert c.kind == "general"
-        assert not c.is_ample and not c.is_nearly_ample
+        assert not c.is_ample
 
     def test_two_maxima_far_apart_are_general(self):
         # join is two steps above one of the maxima

@@ -134,7 +134,7 @@ class TestDecompose:
                 for z in pts]
         phi = FunctionSample(PointSample(pts), np.array(vals) / 5)
         pre = standard_nearly_ample(3, *drop)
-        out = agler_decompose(phi, pre, 0.97, SolverParams(max_iter=30_000, stall_rtol=1e-9))
+        out = agler_decompose(phi, pre, 0.97, SolverParams(max_iter=30_000))
         assert out.status == "infeasible"
         assert validate_witness(phi, pre, 0.97, out.witness.kernel, 1e-8) is not None
 
@@ -413,7 +413,7 @@ class TestNorm:
         # does, so c_hi is finite
         phi, _ = random_transfer_sample(RNG([201, 52]), 8, 2)
         out = schur_agler_norm(phi, classical(2), tol=1e-4,
-                               params=SolverParams(max_iter=3000, stall_rtol=1e-9))
+                               params=SolverParams(max_iter=3000))
         assert np.isfinite(out.c_hi) and out.certificate is not None
         assert validate_certificate(phi, classical(2), out.c_hi, out.certificate, 1e-8)[0]
 
@@ -733,7 +733,7 @@ def ref_iterative_norm(phi, pre, tol, params):
 def test_norm_at_tol_zero_matches_drained_reference(pre, N, key):
     pre = REFERENCE_PREORDERINGS[pre]
     phi, _ = random_transfer_sample(RNG(key), N, pre.d)
-    params = SolverParams(max_iter=3000, stall_rtol=1e-9)
+    params = SolverParams(max_iter=3000)
     got = schur_agler_norm(phi, pre, tol=0.0, params=params)
     ref = ref_iterative_norm(phi, pre, 0.0, params)
     assert np.array_equal(got.c_lo, ref.c_lo) and np.array_equal(got.c_hi, ref.c_hi)
@@ -815,7 +815,7 @@ def test_norm_keeps_iterating_past_an_unresolved_try(key):
     # solve must go on to a later try
     phi, _ = random_transfer_sample(RNG(key), 8, 2)
     out = schur_agler_norm(phi, classical(2), tol=1e-4,
-                           params=SolverParams(max_iter=3000, stall_rtol=1e-9))
+                           params=SolverParams(max_iter=3000))
     assert out.resolved and out.c_hi - out.c_lo <= 1e-4
     assert validate_certificate(phi, classical(2), out.c_hi, out.certificate, 1e-8)[0]
     assert validate_witness(phi, classical(2), out.c_lo, out.witness.kernel, 1e-8) is not None
