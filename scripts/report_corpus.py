@@ -8,6 +8,12 @@ corpus directories:
     PYTHONPATH=/path/to/other/src python scripts/report_corpus.py --out /tmp/corpus-old
     diff -r /tmp/corpus-old /tmp/corpus-new
 
+Where a change moves floats by rounding only, scripts/corpus_diff.py checks
+that everything else agrees and prints, field by field, how many floats
+moved and by how much at most:
+
+    python scripts/corpus_diff.py /tmp/corpus-old /tmp/corpus-new
+
 The package is whichever `aglerlab` the interpreter imports, so the same
 script runs against any tree.  The corpus:
 - the cli-batch documents of perfbench/workloads.py for seeds 101 and 102,

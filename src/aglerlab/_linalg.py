@@ -73,35 +73,42 @@ def polar_isometry(M: np.ndarray) -> np.ndarray:
     return U @ Vh
 
 
-# the least singular value that unitary_completion accepts on the complements:
-# the polar factor moves by about (rounding in V and W) / sigma_k, so at this
-# floor a perturbation of 1e-16 moves the completion by about 1e-10
+# the least cosine of a principal angle between ran(V) and ran(W) that
+# unitary_completion accepts: the completion moves by about (rounding in V and
+# W) / s_min, so at this floor a perturbation of 1e-16 moves it by about 1e-10;
+# it stays unitary to rounding at any cosine
 COMPLETION_FLOOR = 1e-6
 
 
 def unitary_completion(V: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The unitary that is W V^* on ran(V) and the polar factor of Q P on
     ran(V)^perp, for n x r matrices V and W with orthonormal columns,
-    P = 1 - V V^*, Q = 1 - W W^* and k = n - r.
+    P = 1 - V V^* and Q = 1 - W W^*.
 
-    Q P maps ran(P) into ran(Q); when its k-th singular value is positive its
-    top k singular triplets span both, and their polar factor is the unique
-    partial isometry of its polar decomposition.  So the completion depends only
-    on W V^* and the two ranges, not on the bases of ran(P) and ran(Q) that a
-    decomposition happens to return.  Its right factor is projected by P once
-    more: rounding in the SVD leaves it a part of size eps / sigma_k on ran(V),
-    which would move the images of V.  Raises ArithmeticError when sigma_k(Q P)
-    is below COMPLETION_FLOOR, where that polar factor is ill-determined.
+    Q P maps ran(P) into ran(Q), both of dimension k = n - r.  When it is
+    invertible between them, its polar factor is the unique partial isometry
+    of its polar decomposition, so the completion depends only on W V^* and
+    the two ranges.  That polar factor is fixed by the r x r cosine matrix
+    C = V^* W = Y diag(s) Z^* (Bjorck and Golub, Math. Comp. 27, 1973): with
+    X = P W, P Q P = P - X X^* and X^* X = 1 - C^* C, which gives, for
+    Wz = W Z and Vy = V Y,
+
+        U = 1 + (W - V) V^* - (Wz + Vy) diag(1 / (1 + s)) (Wz - Vy diag(s))^*.
+
+    No term divides by s, so U is unitary to rounding however close the
+    cosines come to 0.  The least cosine equals sigma_k(Q P); the completion
+    raises ArithmeticError when it is below COMPLETION_FLOOR, where the polar
+    factor is ill-determined.
     """
     n, r = V.shape
-    k = n - r
-    U = W @ V.conj().T
-    if k == 0:
-        return U
-    eye = np.eye(n)
-    P = eye - V @ V.conj().T
-    L, s, Rh = np.linalg.svd((eye - W @ W.conj().T) @ P)
-    if not s[k - 1] >= COMPLETION_FLOOR:
+    if n == r:
+        return W @ V.conj().T
+    Y, s, Zh = np.linalg.svd(V.conj().T @ W)
+    s_min = s.min(initial=1.0)
+    if not s_min >= COMPLETION_FLOOR:
         raise ArithmeticError(f"unitary completion is ill-determined: the complements "
-                              f"meet at sigma {s[k - 1]:.3e} < {COMPLETION_FLOOR:g}")
-    return U + L[:, :k] @ (Rh[:k] @ P)
+                              f"meet at sigma {s_min:.3e} < {COMPLETION_FLOOR:g}")
+    Wz, Vy = W @ Zh.conj().T, V @ Y
+    U = (W - V) @ V.conj().T - ((Wz + Vy) / (1 + s)) @ (Wz - Vy * s).conj().T
+    U[np.diag_indices(n)] += 1
+    return U
